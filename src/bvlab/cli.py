@@ -52,13 +52,13 @@ from .funcspec import parse_function_spec, save_pp_table
 from .multfun import (
     ArithFn,
     MultFn,
-    class_c_check,
     companion_split,
     delta_fn,
     dirichlet_convolve,
     inverse,
     lambda_seq,
     log_twist,
+    prime_power_values,
     to_arith,
 )
 
@@ -447,12 +447,11 @@ def _cmd_lambda_check(args):
     resid = float(np.max(np.abs(lam.values - rhs.values)))
     lam_g = lambda_seq(g, limit, table)
     neg = float(np.max(np.abs(lam.values + lam_g.values)))
-    ok, witness = class_c_check(f, limit, table)
     obj = {
         "lambda_identity_max_residual": resid,
         "negation_max_residual": neg,
-        "class_c": ok,
-        "first_violation": witness,
+        "class_c": lam.is_class_c,
+        "first_violation": lam.first_violation,
     }
     _write_json(args.out, obj)
     return obj, table
@@ -484,29 +483,14 @@ def _cmd_companion_check(args):
         raise ParameterError("companion-check needs a multiplicative function spec")
     fstar, g = companion_split(f, limit)
     fd = to_arith(f, limit, table)
-    conv = dirichlet_convolve(to_arith(g, limit, table), to_arith(fstar, limit, table), limit)
-    resid = float(np.max(np.abs(conv.values - fd.values)))
     gd = to_arith(g, limit, table)
-    spf = table.spf
-    off_powerful = 0.0
-    for n in range(2, limit + 1):
-        if gd.values[n] != 0:
-            m = n
-            while m > 1:
-                p = int(spf[m])
-                e = 0
-                while m % p == 0:
-                    m //= p
-                    e += 1
-                if e < 2:
-                    off_powerful = max(off_powerful, abs(gd.values[n]))
-    worst_pk = 0.0
-    for p in table.primes[table.primes <= limit]:
-        p, pk, k = int(p), int(p), 1
-        while pk <= limit:
-            worst_pk = max(worst_pk, abs(g.pp_value(p, k)))
-            pk *= p
-            k += 1
+    conv = dirichlet_convolve(gd, to_arith(fstar, limit, table), limit)
+    resid = float(np.max(np.abs(conv.values - fd.values)))
+    # p^k -> [k >= 2] is multiplicative: its dense form is 0 off the powerful n
+    powerful = to_arith(MultFn(lambda p, k: float(k >= 2), limit), limit, table)
+    off_powerful = float(np.max(np.abs(gd.values[powerful.values == 0]), initial=0.0))
+    gpp = prime_power_values(g, limit, table)
+    worst_pk = float(np.max(np.hypot(gpp.real, gpp.imag), initial=0.0))
     obj = {
         "max_residual": resid,
         "off_powerful_max": off_powerful,

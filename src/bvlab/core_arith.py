@@ -149,7 +149,12 @@ def save_prime_table(table: PrimeTable, path) -> None:
 
 
 def load_prime_table(path) -> PrimeTable:
-    """Load a sieve cache, validating magic bytes and payload length."""
+    """Load a sieve cache, validating magic bytes, payload length and spf.
+
+    For every n >= 2: 2 <= spf[n], n % spf[n] == 0, spf[spf[n]] == spf[n],
+    and spf[n // spf[n]] >= spf[n] where n // spf[n] > 1. A composite
+    recorded as its own spf passes these checks and is not caught.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:6] != _CACHE_MAGIC:
@@ -169,4 +174,14 @@ def load_prime_table(path) -> PrimeTable:
     spf[0] = 0
     spf[1] = 1
     spf[2:] = np.frombuffer(body, dtype="<u4")
+    s, n = spf[2:], np.arange(2, limit + 1, dtype=spf.dtype)
+    bad = (s < 2) | (s > n)
+    if not bad.any():  # now spf[s] and spf[n // s] are in range
+        r = n // s
+        bad = (r * s != n) | (spf[s] != s) | ((r > 1) & (spf[r] < s))
+    if bad.any():
+        first = int(np.argmax(bad)) + 2
+        raise ParameterError(
+            f"{path}: spf[{first}] = {int(spf[first])} is not its smallest prime factor"
+        )
     return PrimeTable(limit=int(limit), spf=spf)

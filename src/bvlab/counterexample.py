@@ -78,10 +78,6 @@ def plan_counterexample(
     return CounterexampleSpec(x=x, gamma=gamma, Q=Q, y=y, z=z, script_P=script_P)
 
 
-def build_script_P(x: int, gamma: float, Q: int, table: PrimeTable) -> frozenset[int]:
-    return plan_counterexample(x, gamma, Q, table).script_P
-
-
 def counterexample_multfn(spec: CounterexampleSpec, table: PrimeTable) -> MultFn:
     """The completely multiplicative f with values in {-1, 0, 1} at primes."""
     script_P = spec.script_P
@@ -98,7 +94,6 @@ def counterexample_multfn(spec: CounterexampleSpec, table: PrimeTable) -> MultFn
         lambda p, k: at_prime(p) ** k,
         spec.x,
         label=f"counterexample(x={spec.x},gamma={spec.gamma:g},Q={spec.Q})",
-        completely_multiplicative=True,
     )
 
 

@@ -12,14 +12,13 @@ over, and the bilinear form is bounded through the large sieve.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .characters import CharacterSet, DirichletCharacter, primitive_value_matrix
 from .core_arith import PrimeTable, factorize, p_plus_array
-from .discrepancy import delta_xi
+from .discrepancy import chunked_map, delta_xi
 from .errors import DomainError, OutOfRangeError, ParameterError
 from .multfun import MultFn, dirichlet_convolve, to_arith, truncated_convolution
 
@@ -111,12 +110,7 @@ def split_sum_assemble(
             acc += complex(np.sum(fd[uv] * cbar[uv % r]))
         return acc
 
-    blocks = [range(s, min(s + 512, v_hi + 1)) for s in range(v_lo, v_hi + 1, 512)]
-    if threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(chunk_sum, blocks))
-    else:
-        parts = [chunk_sum(b) for b in blocks]
+    parts = chunked_map(chunk_sum, range(v_lo, v_hi + 1), 512, threads)
     for part in parts:  # ascending-v reduction
         total += part
     return total
@@ -214,7 +208,7 @@ def bilinear_ls_eval(
         bb_i = np.bincount(vs % r, weights=b.imag, minlength=r)
         ba = ba_r + 1j * ba_i
         bb = bb_r + 1j * bb_i
-        phi = sum(1 for t in range(1, r + 1) if math.gcd(t, r) == 1)
+        phi = int(np.count_nonzero(np.gcd(np.arange(1, r + 1), r) == 1))
         cbar = np.conj(mat)
         inner = float(np.sum(np.abs(cbar @ ba) * np.abs(cbar @ bb)))
         lhs += inner / phi

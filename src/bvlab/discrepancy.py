@@ -40,6 +40,18 @@ def residue_buckets(values: np.ndarray, m: int, q: int) -> np.ndarray:
     return buf.reshape(rows, q).sum(axis=0)
 
 
+def chunked_map(fn, items: Sequence, size: int, threads: int) -> list:
+    """fn over consecutive size-long slices of items, on up to `threads` threads.
+
+    Results come back in slice order, whatever the thread count.
+    """
+    chunks = [items[i : i + size] for i in range(0, len(items), size)]
+    if threads > 1 and len(chunks) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            return list(ex.map(fn, chunks))
+    return [fn(c) for c in chunks]
+
+
 def _coprime_residues(q: int) -> np.ndarray:
     if q == 1:
         return np.array([0])
@@ -193,13 +205,7 @@ def bv_sum(
         raise OutOfRangeError(f"x={x} exceeds function limit {f.limit}")
     if Q > x:
         raise ParameterError(f"Q={Q} exceeds x={x}")
-    qs = list(range(1, Q + 1))
-    chunks = [qs[i : i + 64] for i in range(0, len(qs), 64)]
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(lambda c: _bv_rows_for(f, m, c, xi), chunks))
-    else:
-        parts = [_bv_rows_for(f, m, c, xi) for c in chunks]
+    parts = chunked_map(lambda qs: _bv_rows_for(f, m, qs, xi), range(1, Q + 1), 64, threads)
     rows = [row for part in parts for row in part]
     total = 0.0
     for _q, _a, v in rows:

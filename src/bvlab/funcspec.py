@@ -34,6 +34,8 @@ from .multfun import (
     make_multfn,
     moebius,
     one,
+    prime_power_values,
+    prime_powers,
     restrict_to_primes,
     smooth_truncation,
     to_arith,
@@ -76,19 +78,10 @@ def _load_pp_table(path: str, limit: int) -> MultFn:
 
 
 def save_pp_table(f: MultFn, limit: int, table: PrimeTable, path) -> None:
-    """Dump f's prime-power values up to limit as an npz loadable by "table"."""
-    pps = []
-    vals = []
-    for p in table.primes[table.primes <= limit]:
-        p = int(p)
-        pk = p
-        k = 1
-        while pk <= limit:
-            pps.append(pk)
-            vals.append(f.pp_value(p, k))
-            pk *= p
-            k += 1
-    np.savez(path, prime_powers=np.array(pps, dtype=np.int64), values=np.array(vals))
+    """Dump f's prime-power values up to limit, p then k, as an npz loadable by "table"."""
+    pks, ps, ks = prime_powers(limit, table)
+    order = np.lexsort((ks, ps))
+    np.savez(path, prime_powers=pks[order], values=prime_power_values(f, limit, table)[order])
 
 
 def parse_function_spec(spec, limit: int, table: PrimeTable):
@@ -133,12 +126,7 @@ def parse_function_spec(spec, limit: int, table: PrimeTable):
         default = (
             _as_complex(spec["default"], "cm default") if "default" in spec else 0j
         )
-        f = make_multfn(
-            lambda p, k: at.get(p, default) ** k,
-            limit,
-            label="cm",
-            completely_multiplicative=True,
-        )
+        f = make_multfn(lambda p, k: at.get(p, default) ** k, limit, label="cm")
     elif kind == "table":
         path = spec.get("path")
         if not isinstance(path, str):

@@ -1,7 +1,10 @@
 """The class-C function algebra.
 
 A MultFn is a multiplicative function given by a prime-power rule
-(p, k) -> f(p^k); values at arbitrary n come from the factorization. An
+(p, k) -> f(p^k); values at arbitrary n come from the factorization. Its
+one materialized form is the prime-power array: prime_powers enumerates
+(p^k, p, k) up to a limit and prime_power_values calls the rule once per
+entry. to_arith, lambda_seq and save_pp_table all read that array. An
 ArithFn is a dense complex value array for non-multiplicative objects
 (restrictions to primes, log twists, convolutions) and for feeding the
 discrepancy machinery, which wants whole arrays anyway.
@@ -39,7 +42,6 @@ class MultFn:
         limit: int,
         label: str = "",
         validate: bool = True,
-        completely_multiplicative: bool = False,
     ):
         if limit < 1:
             raise ParameterError(f"limit must be >= 1, got {limit}")
@@ -47,7 +49,6 @@ class MultFn:
         self.limit = limit
         self.label = label
         self.validate = validate
-        self.completely_multiplicative = completely_multiplicative
         self._pp: dict[int, complex] = {}
 
     def pp_value(self, p: int, k: int) -> complex:
@@ -64,23 +65,11 @@ class MultFn:
         return v
 
 
-def make_multfn(
-    rule: Callable[[int, int], complex],
-    limit: int,
-    label: str = "",
-    completely_multiplicative: bool = False,
-) -> MultFn:
-    return MultFn(
-        rule,
-        limit,
-        label=label,
-        validate=True,
-        completely_multiplicative=completely_multiplicative,
-    )
+make_multfn = MultFn
 
 
 def one(limit: int) -> MultFn:
-    return make_multfn(lambda p, k: 1.0, limit, label="one", completely_multiplicative=True)
+    return make_multfn(lambda p, k: 1.0, limit, label="one")
 
 
 def moebius(limit: int) -> MultFn:
@@ -88,29 +77,17 @@ def moebius(limit: int) -> MultFn:
 
 
 def liouville(limit: int) -> MultFn:
-    return make_multfn(
-        lambda p, k: float((-1) ** k), limit, label="liouville", completely_multiplicative=True
-    )
+    return make_multfn(lambda p, k: float((-1) ** k), limit, label="liouville")
 
 
 def character_fn(chi, limit: int) -> MultFn:
     """A Dirichlet character wrapped as a completely multiplicative MultFn."""
-    return make_multfn(
-        lambda p, k: chi.value(p) ** k,
-        limit,
-        label=chi.serialize(),
-        completely_multiplicative=True,
-    )
+    return make_multfn(lambda p, k: chi.value(p) ** k, limit, label=chi.serialize())
 
 
 def cm_multfn(prime_value: Callable[[int], complex], limit: int, label: str = "") -> MultFn:
     """Completely multiplicative function from a value-at-primes rule."""
-    return make_multfn(
-        lambda p, k: complex(prime_value(p)) ** k,
-        limit,
-        label=label,
-        completely_multiplicative=True,
-    )
+    return make_multfn(lambda p, k: complex(prime_value(p)) ** k, limit, label=label)
 
 
 def evaluate(f: MultFn, n: int, table: PrimeTable) -> complex:
@@ -138,14 +115,12 @@ def evaluate(f: MultFn, n: int, table: PrimeTable) -> complex:
 class ArithFn:
     """Dense complex values for 0..limit (index 0 unused, kept at 0).
 
-    The array is treated as immutable after construction. `bounded` is
-    metadata only: whether |values| <= 1 is known to hold.
+    The array is treated as immutable after construction.
     """
 
     values: np.ndarray
     limit: int
     label: str = ""
-    bounded: Optional[bool] = None
 
     def __post_init__(self):
         if self.values.shape != (self.limit + 1,):
@@ -164,42 +139,81 @@ class ArithFn:
         return self._is_real
 
 
-def to_arith(f: MultFn, limit: int, table: PrimeTable) -> ArithFn:
-    """Materialize f(1..limit) densely with one multiplicative sweep."""
-    if limit > f.limit:
-        raise OutOfRangeError(f"limit={limit} exceeds function limit {f.limit}")
+def prime_powers(limit: int, table: PrimeTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p^k, p, k) for every prime power p^k <= limit, ascending in p^k."""
     if limit > table.limit:
         raise OutOfRangeError(f"limit={limit} exceeds table limit {table.limit}")
-    spf = table.spf[: limit + 1].tolist()
-    vals = [0j] * (limit + 1)
-    ppow = [0] * (limit + 1)  # spf-power part of n
-    pexp = [0] * (limit + 1)  # its exponent
+    primes = table.primes[table.primes <= limit].astype(np.int64)
+    levels = [primes]  # levels[k - 1]: the p^k <= limit, over a prefix of the primes
+    while len(levels[-1]):
+        pk = levels[-1]
+        # p^(k+1) <= limit, tested without overflow
+        n = int(np.count_nonzero(primes[: len(pk)] <= limit // pk))
+        levels.append(pk[:n] * primes[:n])
+    pk = np.concatenate(levels)
+    p = np.concatenate([primes[: len(level)] for level in levels])
+    k = np.repeat(np.arange(1, len(levels) + 1), [len(level) for level in levels])
+    order = np.argsort(pk, kind="stable")
+    return pk[order], p[order], k[order]
+
+
+def prime_power_values(f: MultFn, limit: int, table: PrimeTable) -> np.ndarray:
+    """f(p^k) for the prime powers of prime_powers(limit, table), in its order.
+
+    Calls f.pp_value exactly once per prime power, in ascending p^k order:
+    rules that draw random values lazily, in call order, depend on it.
+    """
+    _pk, ps, ks = prime_powers(limit, table)
+    return np.array([f.pp_value(p, k) for p, k in zip(ps.tolist(), ks.tolist())], dtype=complex)
+
+
+def _cmul(a, b):
+    """a * b for (re, im) pairs, formed as Python's complex * forms it.
+
+    NumPy's own complex * may fuse or reorder, which changes last bits.
+    """
+    return np.array([a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]])
+
+
+_BLOCK = 1 << 18  # largest gather pass of to_arith, in values
+
+
+def to_arith(f: MultFn, limit: int, table: PrimeTable) -> ArithFn:
+    """Materialize f(1..limit) densely from its prime-power values.
+
+    f(n) = f(n / p^e) * f(p^e) with p^e the spf-power part of n. The
+    cofactor is at most n/2, so over the blocks [lo, min(2 lo, lo + _BLOCK))
+    each block is one gather from earlier ones, with the operands and order
+    of a scalar sweep over n: the values are those of Python complex math.
+    """
+    if limit > f.limit:
+        raise OutOfRangeError(f"limit={limit} exceeds function limit {f.limit}")
+    pks, ps, _ks = prime_powers(limit, table)
+    pv = prime_power_values(f, limit, table)
+    # pos[n]: index in pks of the spf-power part of n; nxt[i]: index of
+    # pks[i] * ps[i], meaningful while that is <= limit
+    pos = np.zeros(limit + 1, dtype=np.int32)
+    pos[pks] = np.arange(len(pks), dtype=np.int32)
+    nxt = np.searchsorted(pks, pks * ps).astype(np.int32)
+    vals = np.zeros(limit + 1, dtype=np.complex128)
+    re, im = vals.real, vals.imag
     if limit >= 1:
-        vals[1] = 1 + 0j
-    pp_cache: dict[int, complex] = {}
-    pp_value = f.pp_value
-    for n in range(2, limit + 1):
-        p = spf[n]
+        re[1] = 1.0
+    spf = table.spf
+    lo = 2
+    while lo <= limit:
+        hi = min(2 * lo, lo + _BLOCK, limit + 1)
+        n = np.arange(lo, hi)
+        p = spf[lo:hi].astype(np.int64)
         m = n // p
-        if m % p == 0:
-            pk = ppow[m] * p
-            e = pexp[m] + 1
-        else:
-            pk = p
-            e = 1
-        ppow[n] = pk
-        pexp[n] = e
-        v = pp_cache.get(pk)
-        if v is None:
-            v = pp_value(p, e)
-            pp_cache[pk] = v
-        vals[n] = vals[n // pk] * v
-    return ArithFn(
-        values=np.array(vals, dtype=np.complex128),
-        limit=limit,
-        label=f.label,
-        bounded=f.validate or None,
-    )
+        i = pos[p]
+        same = m % p == 0
+        i[same] = nxt[pos[m[same]]]
+        pos[lo:hi] = i
+        rest = n // pks[i]
+        re[lo:hi], im[lo:hi] = _cmul((re[rest], im[rest]), (pv.real[i], pv.imag[i]))
+        lo = hi
+    return ArithFn(values=vals, limit=limit, label=f.label)
 
 
 def dirichlet_convolve(f: ArithFn, g: ArithFn, limit: int) -> ArithFn:
@@ -260,33 +274,29 @@ class LambdaSeq:
     first_violation: Optional[int] = None
 
 
-def _lambda_rows(f: MultFn, limit: int, table: PrimeTable):
-    """Yield (p, k, p^k, lambda_f(p^k)) for all prime powers <= limit."""
-    for p in table.primes[table.primes <= limit]:
-        p = int(p)
-        logp = math.log(p)
-        fs = [1 + 0j]  # f(p^j)
-        lams: list[complex] = []  # lambda_f(p^j), j >= 1
-        pk = p
-        k = 1
-        while pk <= limit:
-            fs.append(f.pp_value(p, k))
-            acc = fs[k] * k * logp
-            for j in range(1, k):
-                acc -= lams[j - 1] * fs[k - j]
-            lams.append(acc)
-            yield p, k, pk, acc
-            pk *= p
-            k += 1
-
-
 def lambda_seq(f: MultFn, limit: int, table: PrimeTable) -> LambdaSeq:
+    """lambda_f on the prime powers up to limit, with the class-C verdict.
+
+    The triangular recursion runs for all primes at once, one k at a time,
+    with each product and |.| formed as Python's scalar complex math forms it.
+    """
+    pks, ps, ks = prime_powers(limit, table)
+    fv = prime_power_values(f, limit, table)
+    logp = np.array([math.log(p) for p in ps.tolist()])
     vals = np.zeros(limit + 1, dtype=np.complex128)
-    worst: Optional[int] = None
-    for p, _k, pk, lam in _lambda_rows(f, limit, table):
-        vals[pk] = lam
-        if abs(lam) > math.log(p) + 1e-9 and (worst is None or pk < worst):
-            worst = pk
+    fs = []  # fs[j - 1]: (re, im) of f(p^j) over the primes with p^j <= limit
+    lams = []  # lams[j - 1]: lambda_f(p^j), likewise
+    for k in range(1, int(ks.max(initial=0)) + 1):
+        at = ks == k  # ascending p: a prefix of the primes of level k - 1
+        fs.append(np.array([fv.real[at], fv.imag[at]]))
+        n = int(np.count_nonzero(at))
+        lam = _cmul(_cmul(fs[k - 1], (k, 0.0)), (logp[at], 0.0))
+        for j in range(1, k):
+            lam = lam - _cmul(lams[j - 1][:, :n], fs[k - j - 1][:, :n])
+        lams.append(lam)
+        vals.real[pks[at]], vals.imag[pks[at]] = lam
+    bad = np.flatnonzero(np.hypot(vals.real[pks], vals.imag[pks]) > logp + 1e-9)
+    worst = int(pks[bad[0]]) if len(bad) else None
     return LambdaSeq(values=vals, limit=limit, is_class_c=worst is None, first_violation=worst)
 
 
@@ -295,11 +305,8 @@ def class_c_check(f: MultFn, limit: int, table: PrimeTable) -> tuple[bool, Optio
 
     On failure, returns the smallest violating prime power as witness.
     """
-    worst: Optional[int] = None
-    for p, _k, pk, lam in _lambda_rows(f, limit, table):
-        if abs(lam) > math.log(p) + 1e-9 and (worst is None or pk < worst):
-            worst = pk
-    return (worst is None, worst)
+    lam = lambda_seq(f, limit, table)
+    return (lam.is_class_c, lam.first_violation)
 
 
 def smooth_truncation(f: MultFn, y: float) -> MultFn:
@@ -315,7 +322,6 @@ def smooth_truncation(f: MultFn, y: float) -> MultFn:
         f.limit,
         label=f"{f.label}|smooth<={y:g}",
         validate=False,  # inner values were already checked lazily
-        completely_multiplicative=False,
     )
 
 
@@ -373,7 +379,6 @@ def companion_split(f: MultFn, limit: int) -> tuple[MultFn, MultFn]:
         limit,
         label=f"{f.label}*cm",
         validate=False,
-        completely_multiplicative=True,
     )
 
     def grule(p: int, k: int) -> complex:

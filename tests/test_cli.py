@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from bvlab.cli import main
@@ -217,20 +218,29 @@ def test_counterexample_command(tmp_path, capsys):
 
 
 def test_library_check_commands(tmp_path, capsys):
-    for cmd, expect_key in (
-        ("lambda-check", "lambda_identity_max_residual"),
-        ("inverse-check", "max_residual"),
-        ("companion-check", "max_residual"),
+    # f(2) = 1, f(4) = -1, 0 elsewhere: lambda_f(4) = -3 log 2 breaks class C
+    planted = tmp_path / "planted.npz"
+    np.savez(planted, prime_powers=np.array([2, 4]), values=np.array([1 + 0j, -1 + 0j]))
+    mu = '{"kind":"builtin","name":"moebius"}'
+    for cmd, spec, expect_key in (
+        ("lambda-check", mu, "lambda_identity_max_residual"),
+        ("inverse-check", mu, "max_residual"),
+        ("companion-check", mu, "max_residual"),
+        ("lambda-check", json.dumps({"kind": "table", "path": str(planted)}),
+         "lambda_identity_max_residual"),
     ):
         out = str(tmp_path / f"{cmd}.json")
         code, manifest = run(
             capsys, cmd,
-            "--f", '{"kind":"builtin","name":"moebius"}',
+            "--f", spec,
             "--limit", "2000",
             "--out", out,
         )
         assert code == 0
         assert manifest["results"][expect_key] <= 1e-9
+    got = json.loads(open(out).read())
+    assert got["class_c"] is False
+    assert type(got["first_violation"]) is int and got["first_violation"] == 4
 
 
 def test_invariant_violation_exit_code(tmp_path, capsys, monkeypatch):

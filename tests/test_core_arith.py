@@ -152,3 +152,14 @@ def test_cache_validates_length(tmp_path, table_1e4):
     path.write_bytes(blob[:-4])
     with pytest.raises(ParameterError):
         load_prime_table(path)
+
+
+@pytest.mark.parametrize("wrong", [7, 3])  # not a factor; a factor but not the smallest
+def test_cache_validates_spf(tmp_path, table_1e4, wrong):
+    path = tmp_path / "corrupt.bin"
+    save_prime_table(table_1e4, path)
+    blob = bytearray(path.read_bytes())
+    blob[14 + 4 * (12 - 2) : 14 + 4 * (12 - 1)] = wrong.to_bytes(4, "little")
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ParameterError, match=r"spf\[12\]"):
+        load_prime_table(path)

@@ -7,8 +7,10 @@ import pytest
 
 from bvlab import ClassViolationError, OutOfRangeError, ParameterError
 from bvlab.characters import enumerate_characters
+from bvlab.funcspec import save_pp_table
 from bvlab.multfun import (
     ArithFn,
+    MultFn,
     character_fn,
     class_c_check,
     cm_multfn,
@@ -321,6 +323,27 @@ def test_cm_lambda_cross_check(table):
                 assert abs(lam.values[pk] - want) <= 1e-9
                 pk *= p
                 k += 1
+
+
+@pytest.mark.parametrize("first", ["to_arith", "lambda_seq", "save_pp_table"])
+def test_rule_called_once_per_prime_power_ascending(table, tmp_path, first):
+    lim = 600
+    seen = []
+
+    def rule(p, k):
+        seen.append(p**k)
+        return 0.5**k
+
+    f = MultFn(rule, lim)
+    runs = {
+        "to_arith": lambda: to_arith(f, lim, table),
+        "lambda_seq": lambda: lambda_seq(f, lim, table),
+        "save_pp_table": lambda: save_pp_table(f, lim, table, tmp_path / "f.npz"),
+    }
+    runs[first]()
+    for run in runs.values():
+        run()
+    assert seen == [n for n in range(2, lim + 1) if len(trial_division(n)) == 1]
 
 
 def test_memo_concurrent_reads(table):
