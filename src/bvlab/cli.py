@@ -22,9 +22,10 @@ import time
 import numpy as np
 
 from . import __version__
-from .characters import CharacterSet, enumerate_characters
+from .characters import CharacterSet, enumerate_characters, trivial_set
 from .core_arith import build_prime_table, load_prime_table, save_prime_table
 from .counterexample import (
+    counterexample_multfn,
     identity_validity_bound,
     lower_bound_report,
     plan_counterexample,
@@ -129,7 +130,7 @@ _XI_RE = re.compile(r"chi:q=(\d+),label=(\d+)")
 
 def _parse_xi(text: str, table) -> CharacterSet:
     members = []
-    for part in text.split(";"):
+    for part in str(text).split(";"):
         part = part.strip()
         if not part:
             continue
@@ -146,8 +147,41 @@ def _parse_xi(text: str, table) -> CharacterSet:
     return CharacterSet(members=tuple(members))
 
 
-def _merged_params(args: argparse.Namespace, keys: list[str]) -> dict:
-    """Inline flags override values from --config; either source may supply."""
+# Flags typed by name; the rest (function specs, character lists, paths)
+# pass through as given.
+_INTS = frozenset({"q", "a", "n", "limit", "Q", "trials", "N-max", "Q-max", "U", "V"})
+_FLOATS = frozenset({"x", "X", "y", "V0", "C", "A", "gamma", "R"})
+
+
+def _number(key: str, value):
+    """value as its flag's int or finite float; ConfigError when it is neither."""
+    kind = int if key in _INTS else float
+    try:
+        v = float(value) if isinstance(value, float) else kind(value)
+    except (TypeError, ValueError):
+        v = math.nan
+    if kind is int and isinstance(v, float) and v.is_integer():
+        v = int(v)  # a JSON config may write 3 as 3.0
+    if not isinstance(v, kind) or kind is float and not math.isfinite(v):
+        what = "an integer" if kind is int else "a finite number"
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
+    return v
+
+
+def _typed(key: str, value):
+    if key == "X-grid":
+        grid = [_number(key, t) for t in str(value).split(",") if t]
+        if not grid:
+            raise ConfigError("X-grid must list at least one number")
+        return grid
+    return _number(key, value) if key in _INTS or key in _FLOATS else value
+
+
+def _resolve(args: argparse.Namespace, keys: list[str]) -> None:
+    """Set each key on args, typed: inline flags override values from --config.
+
+    A key ending in "?" is optional and stays None when neither source has it.
+    """
     cfg = {}
     if args.config:
         try:
@@ -157,17 +191,18 @@ def _merged_params(args: argparse.Namespace, keys: list[str]) -> dict:
             raise ConfigError(f"cannot read config {args.config}: {exc}")
         if not isinstance(cfg, dict):
             raise ConfigError(f"config {args.config} must hold a JSON object")
+    if args.threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {args.threads}")
     params = {}
     for key in keys:
-        inline = getattr(args, key.replace("-", "_"), None)
-        params[key] = inline if inline is not None else cfg.get(key)
-    return params
-
-
-def _require(params: dict, *keys: str) -> None:
-    missing = [k for k in keys if params.get(k) is None]
+        name = key.rstrip("?")
+        inline = getattr(args, name.replace("-", "_"), None)
+        params[name] = inline if inline is not None else cfg.get(name)
+    missing = [k for k in keys if not k.endswith("?") and params[k] is None]
     if missing:
         raise ConfigError(f"missing required parameter(s): {', '.join(missing)}")
+    for name, value in params.items():
+        setattr(args, name.replace("-", "_"), None if value is None else _typed(name, value))
 
 
 def _get_table(args: argparse.Namespace, needed_limit: int):
@@ -181,15 +216,24 @@ def _get_table(args: argparse.Namespace, needed_limit: int):
     return build_prime_table(max(needed_limit, 2))
 
 
-def _fn(params: dict, key: str, limit: int, table):
-    spec = params[key]
-    if isinstance(spec, str):
-        return parse_function_spec(spec, limit, table)
-    return parse_function_spec(json.dumps(spec), limit, table)
-
-
-def _dense(f, limit, table) -> ArithFn:
+def _dense(spec, limit: int, table) -> ArithFn:
+    f = parse_function_spec(spec, limit, table)
     return to_arith(f, limit, table) if isinstance(f, MultFn) else f
+
+
+def _multfn(spec, limit: int, table, command: str) -> MultFn:
+    f = parse_function_spec(spec, limit, table)
+    if not isinstance(f, MultFn):
+        raise ParameterError(f"{command} needs a multiplicative function spec")
+    return f
+
+
+def _fuzz_rng(args: argparse.Namespace) -> np.random.Generator:
+    if args.seed is None:
+        raise ConfigError(f"{args.command} requires --seed")
+    if args.trials < 0:
+        raise ConfigError(f"trials must be >= 0, got {args.trials}")
+    return np.random.default_rng(args.seed)
 
 
 def _report_obj(rep) -> dict:
@@ -211,88 +255,65 @@ def _report_obj(rep) -> dict:
 
 
 def _cmd_sieve_cache(args):
-    params = _merged_params(args, ["limit"])
-    _require(params, "limit")
-    table = build_prime_table(int(params["limit"]))
+    table = build_prime_table(args.limit)
     save_prime_table(table, args.out)
     return {"limit": table.limit}, table
 
 
 def _cmd_delta(args):
-    params = _merged_params(args, ["f", "x", "q", "a"])
-    _require(params, "f", "x", "q", "a")
-    x = float(params["x"])
-    table = _get_table(args, int(x))
-    fd = _dense(_fn(params, "f", int(x), table), int(x), table)
-    rep = delta(fd, x, int(params["q"]), int(params["a"]), table)
+    table = _get_table(args, int(args.x))
+    fd = _dense(args.f, int(args.x), table)
+    rep = delta(fd, args.x, args.q, args.a, table)
     _write_json(args.out, _report_obj(rep))
     return {"abs_delta": abs(rep.delta)}, table
 
 
 def _cmd_delta_xi(args):
-    params = _merged_params(args, ["f", "x", "q", "a", "xi"])
-    _require(params, "f", "x", "q", "a", "xi")
-    x = float(params["x"])
-    table = _get_table(args, int(x))
-    xi = _parse_xi(params["xi"], table)
-    fd = _dense(_fn(params, "f", int(x), table), int(x), table)
-    rep = delta_xi(fd, x, int(params["q"]), int(params["a"]), xi, table)
+    table = _get_table(args, int(args.x))
+    xi = _parse_xi(args.xi, table)
+    fd = _dense(args.f, int(args.x), table)
+    rep = delta_xi(fd, args.x, args.q, args.a, xi, table)
     _write_json(args.out, _report_obj(rep))
     return {"abs_delta": abs(rep.delta)}, table
 
 
 def _cmd_bv_sum(args):
-    params = _merged_params(args, ["f", "x", "Q", "xi"])
-    _require(params, "f", "x", "Q")
-    x = float(params["x"])
-    table = _get_table(args, int(x))
-    xi = _parse_xi(params["xi"], table) if params["xi"] else None
-    fd = _dense(_fn(params, "f", int(x), table), int(x), table)
-    rep = bv_sum(fd, x, int(params["Q"]), xi, table, threads=args.threads)
+    table = _get_table(args, int(args.x))
+    xi = _parse_xi(args.xi, table) if args.xi else None
+    fd = _dense(args.f, int(args.x), table)
+    rep = bv_sum(fd, args.x, args.Q, xi, table, threads=args.threads)
     _write_csv(args.out, ["q", "a_max", "abs_delta"], rep.per_q)
     return {"Q": rep.Q, "total": rep.total}, table
 
 
 def _cmd_sw_profile(args):
-    params = _merged_params(args, ["f", "q", "a", "X-grid", "A"])
-    _require(params, "f", "q", "a", "X-grid", "A")
-    grid = [float(t) for t in str(params["X-grid"]).split(",") if t]
-    limit = int(max(grid))
+    limit = int(max(args.X_grid))
     table = _get_table(args, limit)
-    fd = _dense(_fn(params, "f", limit, table), limit, table)
-    rows = sw_profile(fd, int(params["q"]), int(params["a"]), grid, float(params["A"]), table)
+    fd = _dense(args.f, limit, table)
+    rows = sw_profile(fd, args.q, args.a, args.X_grid, args.A, table)
     _write_csv(args.out, ["X", "abs_delta", "normalized"], rows)
     return {"points": len(rows)}, table
 
 
 def _cmd_partial_summation(args):
-    params = _merged_params(args, ["f", "x", "X", "q", "a", "xi"])
-    _require(params, "f", "x", "X", "q", "a")
-    x = float(params["x"])
-    table = _get_table(args, int(x))
-    xi = _parse_xi(params["xi"], table) if params["xi"] else CharacterSet(
-        members=tuple(enumerate_characters(1))
-    )
-    fd = _dense(_fn(params, "f", int(x), table), int(x), table)
-    resid = partial_summation_check(
-        fd, x, float(params["X"]), int(params["q"]), int(params["a"]), xi, table
-    )
+    table = _get_table(args, int(args.x))
+    xi = _parse_xi(args.xi, table) if args.xi else trivial_set()
+    fd = _dense(args.f, int(args.x), table)
+    resid = partial_summation_check(fd, args.x, args.X, args.q, args.a, xi, table)
     _write_json(args.out, {"residual": resid})
     return {"residual": resid}, table
 
 
 def _cmd_large_sieve_fuzz(args):
-    params = _merged_params(args, ["trials", "N-max", "Q-max"])
-    _require(params, "trials", "N-max", "Q-max")
-    if args.seed is None:
-        raise ConfigError("large-sieve-fuzz requires --seed")
+    rng = _fuzz_rng(args)
+    if args.N_max < 1 or args.Q_max < 1:
+        raise ConfigError(f"N-max and Q-max must be >= 1, got {args.N_max}, {args.Q_max}")
     table = _get_table(args, 2)
-    rng = np.random.default_rng(args.seed)
     rows = []
     worst = 0.0
-    for trial in range(int(params["trials"])):
-        N = int(rng.integers(1, int(params["N-max"]) + 1))
-        Q = int(rng.integers(1, int(params["Q-max"]) + 1))
+    for trial in range(args.trials):
+        N = int(rng.integers(1, args.N_max + 1))
+        Q = int(rng.integers(1, args.Q_max + 1))
         coeffs = rng.uniform(-1, 1, N) + 1j * rng.uniform(-1, 1, N)
         lhs, rhs, ratio = large_sieve_check(coeffs, Q, table)
         worst = max(worst, ratio)
@@ -302,30 +323,18 @@ def _cmd_large_sieve_fuzz(args):
 
 
 def _cmd_smooth_split(args):
-    params = _merged_params(args, ["n", "V0"])
-    _require(params, "n", "V0")
-    n = int(params["n"])
-    table = _get_table(args, n)
-    s = smooth_factor_split(n, float(params["V0"]), table)
+    table = _get_table(args, args.n)
+    s = smooth_factor_split(args.n, args.V0, table)
     obj = {"n": s.n, "u": s.u, "v": s.v, "P_plus_u": s.P_plus_u, "P_minus_v": s.P_minus_v}
     _write_json(args.out, obj)
     return obj, table
 
 
 def _cmd_assembly_check(args):
-    params = _merged_params(args, ["f", "X", "y", "psi"])
-    _require(params, "f", "X", "y")
-    X = float(params["X"])
-    y = float(params["y"])
+    X, y = args.X, args.y
     table = _get_table(args, int(X))
-    if params["psi"]:
-        xi = _parse_xi(params["psi"], table)
-        psi = xi.members[0]
-    else:
-        psi = enumerate_characters(1)[0]
-    f = _fn(params, "f", int(X), table)
-    if not isinstance(f, MultFn):
-        raise ParameterError("assembly-check needs a multiplicative function spec")
+    psi = _parse_xi(args.psi, table).members[0] if args.psi else enumerate_characters(1)[0]
+    f = _multfn(args.f, int(X), table, args.command)
     V0 = math.sqrt(X / y)
     assembled = split_sum_assemble(f, X, y, V0, psi, table, threads=args.threads)
     twisted = twisted_sum(to_arith(f, int(X), table), X, psi)
@@ -338,26 +347,22 @@ def _cmd_assembly_check(args):
 
 
 def _cmd_dyadic_cells(args):
-    params = _merged_params(args, ["X", "y", "V0"])
-    _require(params, "X", "y", "V0")
     table = _get_table(args, 2)
-    cells = dyadic_cells(float(params["X"]), float(params["y"]), float(params["V0"]))
+    cells = dyadic_cells(args.X, args.y, args.V0)
     rows = [(c.U, c.V, c.P_plus, c.P_minus) for c in cells]
     _write_csv(args.out, ["U", "V", "P_plus", "P_minus"], rows)
     return {"cells": len(rows)}, table
 
 
 def _cmd_bilinear_fuzz(args):
-    params = _merged_params(args, ["U", "V", "R", "trials"])
-    _require(params, "U", "V", "R", "trials")
-    if args.seed is None:
-        raise ConfigError("bilinear-fuzz requires --seed")
-    U, V, R = int(params["U"]), int(params["V"]), float(params["R"])
+    rng = _fuzz_rng(args)
+    U, V, R = args.U, args.V, args.R
+    if U < 1 or V < 1:  # before the draws, which take U and V as sizes
+        raise ParameterError(f"U and V must be >= 1, got U={U}, V={V}")
     table = _get_table(args, 2)
-    rng = np.random.default_rng(args.seed)
     rows = []
     worst = 0.0
-    for trial in range(int(params["trials"])):
+    for trial in range(args.trials):
         a = rng.uniform(-1, 1, U) + 1j * rng.uniform(-1, 1, U)
         a /= np.maximum(1, np.abs(a))
         b = rng.uniform(-1, 1, V) + 1j * rng.uniform(-1, 1, V)
@@ -370,33 +375,22 @@ def _cmd_bilinear_fuzz(args):
 
 
 def _cmd_truncation_check(args):
-    params = _merged_params(args, ["f", "g", "x", "C", "q", "a", "xi"])
-    _require(params, "f", "g", "x", "C", "q", "a")
-    x = float(params["x"])
-    table = _get_table(args, int(x))
-    xi = _parse_xi(params["xi"], table) if params["xi"] else CharacterSet(
-        members=tuple(enumerate_characters(1))
-    )
-    f = _fn(params, "f", int(x), table)
-    g = _fn(params, "g", int(x), table)
-    if not isinstance(f, MultFn) or not isinstance(g, MultFn):
-        raise ParameterError("truncation-check needs multiplicative function specs")
-    resid = truncation_difference_check(
-        f, g, x, float(params["C"]), xi, int(params["q"]), int(params["a"]), table
-    )
+    table = _get_table(args, int(args.x))
+    xi = _parse_xi(args.xi, table) if args.xi else trivial_set()
+    f = _multfn(args.f, int(args.x), table, args.command)
+    g = _multfn(args.g, int(args.x), table, args.command)
+    resid = truncation_difference_check(f, g, args.x, args.C, xi, args.q, args.a, table)
     _write_json(args.out, {"residual": resid})
     return {"residual": resid}, table
 
 
 def _cmd_counterexample(args):
-    params = _merged_params(args, ["x", "gamma", "Q", "dump-f"])
-    _require(params, "x", "gamma")
-    x = int(params["x"])
+    x = int(args.x)
     table = _get_table(args, x)
-    Q = int(params["Q"]) if params["Q"] is not None else None
-    spec = plan_counterexample(x, float(params["gamma"]), Q, table)
+    spec = plan_counterexample(x, args.gamma, args.Q, table)
+    f = counterexample_multfn(spec, table)
     bound = identity_validity_bound(spec)
-    pointwise = pointwise_identity_check(spec, range(1, bound + 1), table)
+    pointwise = pointwise_identity_check(spec, range(1, bound + 1), table, f)
     extension = range_extension_check(spec, table)
     rep = lower_bound_report(spec, table)
     summary = {
@@ -423,22 +417,16 @@ def _cmd_counterexample(args):
             rep.rows,
         )
         outputs.append(args.csv)
-    if params["dump-f"]:
-        from .counterexample import counterexample_multfn
-
-        save_pp_table(counterexample_multfn(spec, table), x, table, params["dump-f"])
-        outputs.append(params["dump-f"])
+    if args.dump_f:
+        save_pp_table(f, x, table, args.dump_f)
+        outputs.append(args.dump_f)
     return {"ratio": rep.ratio, "extra_outputs": outputs}, table
 
 
 def _cmd_lambda_check(args):
-    params = _merged_params(args, ["f", "limit"])
-    _require(params, "f", "limit")
-    limit = int(params["limit"])
+    limit = args.limit
     table = _get_table(args, limit)
-    f = _fn(params, "f", limit, table)
-    if not isinstance(f, MultFn):
-        raise ParameterError("lambda-check needs a multiplicative function spec")
+    f = _multfn(args.f, limit, table, args.command)
     lam = lambda_seq(f, limit, table)
     g = inverse(f, limit)
     fd = to_arith(f, limit, table)
@@ -458,13 +446,9 @@ def _cmd_lambda_check(args):
 
 
 def _cmd_inverse_check(args):
-    params = _merged_params(args, ["f", "limit"])
-    _require(params, "f", "limit")
-    limit = int(params["limit"])
+    limit = args.limit
     table = _get_table(args, limit)
-    f = _fn(params, "f", limit, table)
-    if not isinstance(f, MultFn):
-        raise ParameterError("inverse-check needs a multiplicative function spec")
+    f = _multfn(args.f, limit, table, args.command)
     fd = to_arith(f, limit, table)
     gd = to_arith(inverse(f, limit), limit, table)
     conv = dirichlet_convolve(fd, gd, limit)
@@ -474,13 +458,9 @@ def _cmd_inverse_check(args):
 
 
 def _cmd_companion_check(args):
-    params = _merged_params(args, ["f", "limit"])
-    _require(params, "f", "limit")
-    limit = int(params["limit"])
+    limit = args.limit
     table = _get_table(args, limit)
-    f = _fn(params, "f", limit, table)
-    if not isinstance(f, MultFn):
-        raise ParameterError("companion-check needs a multiplicative function spec")
+    f = _multfn(args.f, limit, table, args.command)
     fstar, g = companion_split(f, limit)
     fd = to_arith(f, limit, table)
     gd = to_arith(g, limit, table)
@@ -500,20 +480,21 @@ def _cmd_companion_check(args):
     return obj, table
 
 
+# name -> (handler, keys): the only list of a command's flags; "?" marks optional
 _COMMANDS = {
     "sieve-cache": (_cmd_sieve_cache, ["limit"]),
     "delta": (_cmd_delta, ["f", "x", "q", "a"]),
     "delta-xi": (_cmd_delta_xi, ["f", "x", "q", "a", "xi"]),
-    "bv-sum": (_cmd_bv_sum, ["f", "x", "Q", "xi"]),
+    "bv-sum": (_cmd_bv_sum, ["f", "x", "Q", "xi?"]),
     "sw-profile": (_cmd_sw_profile, ["f", "q", "a", "X-grid", "A"]),
-    "partial-summation": (_cmd_partial_summation, ["f", "x", "X", "q", "a", "xi"]),
+    "partial-summation": (_cmd_partial_summation, ["f", "x", "X", "q", "a", "xi?"]),
     "large-sieve-fuzz": (_cmd_large_sieve_fuzz, ["trials", "N-max", "Q-max"]),
     "smooth-split": (_cmd_smooth_split, ["n", "V0"]),
-    "assembly-check": (_cmd_assembly_check, ["f", "X", "y", "psi"]),
+    "assembly-check": (_cmd_assembly_check, ["f", "X", "y", "psi?"]),
     "dyadic-cells": (_cmd_dyadic_cells, ["X", "y", "V0"]),
     "bilinear-fuzz": (_cmd_bilinear_fuzz, ["U", "V", "R", "trials"]),
-    "truncation-check": (_cmd_truncation_check, ["f", "g", "x", "C", "q", "a", "xi"]),
-    "counterexample": (_cmd_counterexample, ["x", "gamma", "Q", "dump-f"]),
+    "truncation-check": (_cmd_truncation_check, ["f", "g", "x", "C", "q", "a", "xi?"]),
+    "counterexample": (_cmd_counterexample, ["x", "gamma", "Q?", "dump-f?"]),
     "lambda-check": (_cmd_lambda_check, ["f", "limit"]),
     "inverse-check": (_cmd_inverse_check, ["f", "limit"]),
     "companion-check": (_cmd_companion_check, ["f", "limit"]),
@@ -536,18 +517,21 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "counterexample":
             p.add_argument("--csv", default=None, help="per-q rows CSV path")
         for key in keys:
-            # accepted as strings; handlers coerce, so --config and inline
-            # flags go through the same validation
-            p.add_argument("--" + key, default=None)
+            # kept as given here; _resolve types them after merging --config,
+            # so both sources go through the same checks
+            p.add_argument("--" + key.rstrip("?"), default=None)
     return parser
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handler, _keys = _COMMANDS[args.command]
+    handler, keys = _COMMANDS[args.command]
+    # echoed as given: _resolve replaces the values on args with typed ones
+    config = {k: v for k, v in vars(args).items() if k != "command" and v is not None}
     start = time.perf_counter()
     try:
+        _resolve(args, keys)
         extra, table = handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -562,11 +546,7 @@ def main(argv=None) -> int:
     outputs = [args.out] + list(extra.pop("extra_outputs", []))
     manifest = {
         "command": args.command,
-        "config": {
-            k: v
-            for k, v in vars(args).items()
-            if k not in ("command",) and v is not None
-        },
+        "config": config,
         "version": __version__,
         "sieve_limit": table.limit,
         "wall_time_s": wall,

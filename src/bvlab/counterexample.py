@@ -107,10 +107,14 @@ def identity_validity_bound(spec: CounterexampleSpec) -> int:
 
 
 def pointwise_identity_check(
-    spec: CounterexampleSpec, n_range, table: PrimeTable
+    spec: CounterexampleSpec, n_range, table: PrimeTable, f: MultFn | None = None
 ) -> float:
-    """max |f(n) - (|f(n)| - 2*[n in script_P])| over the given n; expected 0."""
-    f = counterexample_multfn(spec, table)
+    """max |f(n) - (|f(n)| - 2*[n in script_P])| over the given n; expected 0.
+
+    f is the spec's counterexample_multfn, built here unless passed in.
+    """
+    if f is None:
+        f = counterexample_multfn(spec, table)
     bound = identity_validity_bound(spec)
     if isinstance(n_range, range) and n_range.step == 1 and len(n_range) > 0:
         lo, hi = n_range.start, n_range.stop - 1

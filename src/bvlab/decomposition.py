@@ -185,6 +185,8 @@ def bilinear_ls_eval(
     bound = (1/R)(sqrt(U)+R)(sqrt(V)+R)sqrt(UV).
     Returns (lhs, bound, lhs/bound); the ratio tracks the implied constant.
     """
+    if U < 1 or V < 1:
+        raise ParameterError(f"U and V must be >= 1, got U={U}, V={V}")
     a = np.asarray(a_coeffs, dtype=np.complex128)
     b = np.asarray(b_coeffs, dtype=np.complex128)
     if len(a) != U or len(b) != V:

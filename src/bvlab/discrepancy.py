@@ -203,6 +203,8 @@ def bv_sum(
     m = int(math.floor(x))
     if m > f.limit:
         raise OutOfRangeError(f"x={x} exceeds function limit {f.limit}")
+    if Q < 1:
+        raise ParameterError(f"Q must be >= 1, got {Q}")
     if Q > x:
         raise ParameterError(f"Q={Q} exceeds x={x}")
     parts = chunked_map(lambda qs: _bv_rows_for(f, m, qs, xi), range(1, Q + 1), 64, threads)

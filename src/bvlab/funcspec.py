@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import zipfile
 
 import numpy as np
 
@@ -53,20 +54,23 @@ def _as_complex(pair, where: str) -> complex:
     ):
         raise ParameterError(f"{where}: expected [re, im], got {pair!r}")
     v = complex(pair[0], pair[1])
-    if abs(v) > 1 + 1e-12:
+    if not abs(v) <= 1 + 1e-12:  # NaN fails too
         raise ParameterError(f"{where}: |value| = {abs(v)} exceeds 1")
     return v
 
 
 def _load_pp_table(path: str, limit: int) -> MultFn:
-    with np.load(path) as data:
-        try:
+    try:
+        with np.load(path) as data:
             pps = data["prime_powers"].astype(np.int64)
             values = data["values"].astype(np.complex128)
-        except KeyError as exc:
-            raise ParameterError(
-                f"table {path}: missing array {exc} (need prime_powers, values)"
-            ) from exc
+    except KeyError as exc:
+        raise ParameterError(
+            f"table {path}: missing array {exc} (need prime_powers, values)"
+        ) from exc
+    except (OSError, ValueError, TypeError, zipfile.BadZipFile) as exc:
+        # TypeError: a plain .npy array is not a context manager
+        raise ParameterError(f"table {path}: cannot read npz: {exc}") from exc
     if len(pps) != len(values):
         raise ParameterError(f"table {path}: prime_powers and values disagree in length")
     lookup = {int(pp): complex(v) for pp, v in zip(pps, values)}

@@ -57,7 +57,7 @@ class MultFn:
         v = self._pp.get(key)
         if v is None:
             v = complex(self.rule(p, k))
-            if self.validate and abs(v) > 1 + _TOL:
+            if self.validate and not abs(v) <= 1 + _TOL:  # NaN fails too
                 raise ClassViolationError(
                     f"|f({p}^{k})| = {abs(v)} exceeds 1 (label={self.label!r})"
                 )
@@ -244,20 +244,15 @@ def inverse(f: MultFn, limit: int) -> MultFn:
     g(p^k) = -sum_{j=1..k} f(p^j) g(p^{k-j}). No unit-disc validation: the
     inverse of a class-C function is class-C, but other inputs may blow up.
     """
-    cache: dict[tuple[int, int], complex] = {}
 
     def grule(p: int, k: int) -> complex:
-        for kk in range(1, k + 1):
-            if (p, kk) in cache:
-                continue
-            acc = 0j
-            for j in range(1, kk + 1):
-                gprev = 1 + 0j if kk == j else cache[(p, kk - j)]
-                acc += f.pp_value(p, j) * gprev
-            cache[(p, kk)] = -acc
-        return cache[(p, k)]
+        acc = 0j
+        for j in range(1, k + 1):
+            acc += f.pp_value(p, j) * (1 + 0j if j == k else g.pp_value(p, k - j))
+        return -acc
 
-    return MultFn(grule, limit, label=f"inv({f.label})", validate=False)
+    g = MultFn(grule, limit, label=f"inv({f.label})", validate=False)
+    return g
 
 
 @dataclass

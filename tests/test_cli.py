@@ -269,3 +269,49 @@ def test_outputs_reproducible_across_threads(tmp_path, capsys):
         assert code == 0
         outs.append(open(out, "rb").read())
     assert outs[0] == outs[1] == outs[2]
+
+
+MU = '{"kind":"builtin","name":"moebius"}'
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # malformed, non-finite or missing values, and --threads < 1: exit 2
+        (["delta", "--f", MU, "--x", "abc", "--q", "3", "--a", "1"], 2),
+        (["delta", "--f", MU, "--x", "nan", "--q", "3", "--a", "1"], 2),
+        (["delta", "--f", MU, "--x", "inf", "--q", "3", "--a", "1"], 2),
+        (["delta", "--f", MU, "--x", "100", "--q", "3.0", "--a", "1"], 2),
+        (["delta", "--config", "q_half.json"], 2),
+        (["bv-sum", "--config", "xi_list.json", "--x", "100", "--Q", "3"], 2),
+        (["sw-profile", "--f", MU, "--q", "3", "--a", "1", "--X-grid", "", "--A", "2"], 2),
+        (["smooth-split", "--n", "60", "--V0", "nan"], 2),
+        (["lambda-check", "--f", MU, "--limit", "abc"], 2),
+        (["large-sieve-fuzz", "--trials", "2", "--N-max", "0", "--Q-max", "5", "--seed", "1"], 2),
+        (["large-sieve-fuzz", "--trials", "-1", "--N-max", "5", "--Q-max", "5", "--seed", "1"], 2),
+        (["bv-sum", "--f", MU, "--x", "100", "--Q", "5", "--threads", "0"], 2),
+        (["bv-sum", "--f", MU, "--x", "100", "--Q", "5", "--threads", "-3"], 2),
+        # violated preconditions, unreadable tables, out-of-disc values: exit 3
+        (["bv-sum", "--f", MU, "--x", "100", "--Q", "0"], 3),
+        (["bilinear-fuzz", "--U", "0", "--V", "8", "--R", "2", "--trials", "1", "--seed", "1"], 3),
+        (["bv-sum", "--f", '{"kind":"table","path":"missing.npz"}', "--x", "100", "--Q", "3"], 3),
+        (["bv-sum", "--f", '{"kind":"table","path":"nan.npz"}', "--x", "100", "--Q", "3"], 3),
+        (["bv-sum", "--config", "nan_cm.json", "--x", "100", "--Q", "3"], 3),
+        # x is a float flag in every command
+        (["counterexample", "--x", "1e5", "--gamma", "2"], 0),
+    ],
+)
+def test_bad_inputs_exit_without_traceback(tmp_path, capsys, monkeypatch, argv, code):
+    monkeypatch.chdir(tmp_path)
+    np.savez("nan.npz", prime_powers=np.array([2, 3]), values=np.array([complex("nan"), 0.5]))
+    (tmp_path / "nan_cm.json").write_text(
+        json.dumps({"f": {"kind": "cm", "default": [float("nan"), 0]}})
+    )
+    (tmp_path / "q_half.json").write_text(
+        json.dumps({"f": {"kind": "builtin", "name": "one"}, "x": 10, "q": 3.5, "a": 1})
+    )
+    (tmp_path / "xi_list.json").write_text(json.dumps({"f": json.loads(MU), "xi": ["chi:q=3,label=1"]}))
+    assert main([*argv, "--out", "out.txt"]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.count("\n") == 1 and "Traceback" not in err, err
