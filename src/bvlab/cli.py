@@ -335,6 +335,8 @@ def _cmd_assembly_check(args):
     table = _get_table(args, int(X))
     psi = _parse_xi(args.psi, table).members[0] if args.psi else enumerate_characters(1)[0]
     f = _multfn(args.f, int(X), table, args.command)
+    if not y > 0:
+        raise ParameterError(f"y={y} must be > 0")
     V0 = math.sqrt(X / y)
     assembled = split_sum_assemble(f, X, y, V0, psi, table, threads=args.threads)
     twisted = twisted_sum(to_arith(f, int(X), table), X, psi)

@@ -63,6 +63,8 @@ def primes_with_divisor_in(
 def plan_counterexample(
     x: int, gamma: float, Q: int | None, table: PrimeTable
 ) -> CounterexampleSpec:
+    if x < 2:
+        raise ParameterError(f"x={x} must be >= 2")
     if Q is None:
         Q = default_Q(x)
     logx = math.log(x)
@@ -97,6 +99,11 @@ def counterexample_multfn(spec: CounterexampleSpec, table: PrimeTable) -> MultFn
     )
 
 
+def _script_P_array(spec: CounterexampleSpec) -> np.ndarray:
+    """The primes of script_P as an int64 array, in no particular order."""
+    return np.fromiter(spec.script_P, dtype=np.int64, count=len(spec.script_P))
+
+
 def build_counterexample(x: int, gamma: float, Q: int, table: PrimeTable) -> MultFn:
     return counterexample_multfn(plan_counterexample(x, gamma, Q, table), table)
 
@@ -124,9 +131,8 @@ def pointwise_identity_check(
             )
         fd = to_arith(f, hi, table).values
         ind = np.zeros(hi + 1)
-        for p in spec.script_P:
-            if p <= hi:
-                ind[p] = 1.0
+        sp = _script_P_array(spec)
+        ind[sp[sp <= hi]] = 1.0
         resid = np.abs(fd - (np.abs(fd) - 2 * ind))
         return float(np.max(resid[lo : hi + 1]))
     worst = 0.0
@@ -143,19 +149,17 @@ def range_extension_check(spec: CounterexampleSpec, table: PrimeTable) -> dict[i
     """Per prime q in (Q, 2Q]: counting p = 1 (mod q) over script_P equals
     counting over all primes in (y/2, y]."""
     out = {}
-    ps = [int(p) for p in table.primes_in(spec.y / 2, spec.y)]
+    ps = table.primes_in(spec.y / 2, spec.y)
+    sp = _script_P_array(spec)
     for q in table.primes_in(spec.Q, 2 * spec.Q):
         q = int(q)
-        in_script = sum(1 for p in spec.script_P if p % q == 1)
-        in_all = sum(1 for p in ps if p % q == 1)
-        out[q] = in_script == in_all
+        out[q] = np.count_nonzero(sp % q == 1) == np.count_nonzero(ps % q == 1)
     return out
 
 
 def script_P_indicator(spec: CounterexampleSpec, table: PrimeTable) -> ArithFn:
     vals = np.zeros(spec.x + 1, dtype=np.complex128)
-    for p in spec.script_P:
-        vals[p] = 1.0
+    vals[_script_P_array(spec)] = 1.0
     return ArithFn(values=vals, limit=spec.x, label="1_scriptP")
 
 
@@ -178,13 +182,14 @@ class LowerBoundReport:
 def lower_bound_report(spec: CounterexampleSpec, table: PrimeTable) -> LowerBoundReport:
     ind = script_P_indicator(spec, table)
     logx = math.log(spec.x)
+    ps = table.primes_in(spec.y / 2, spec.y)
     rows = []
     S = 0.0
     for q in table.primes_in(spec.Q, 2 * spec.Q):
         q = int(q)
         rep = delta(ind, spec.x, q, 1, table)
         phi_q = euler_phi(q, table)
-        pi_diff = sum(1 for p in table.primes_in(spec.y / 2, spec.y) if p % q == 1)
+        pi_diff = int(np.count_nonzero(ps % q == 1))
         script_term = len(spec.script_P) / phi_q
         d = abs(rep.delta)
         # the two expressions for the discrepancy must agree exactly

@@ -8,7 +8,13 @@ over n <= x per modulus, so maximizing over residues costs O(x + phi(q)).
 
 Numerical policy: bucket sums and twisted sums reuse the same masked
 arrays, so the plain path and the Xi = {1} path produce bit-identical
-results, which the suite checks.
+results, which the suite checks. Only the O(m) reduction into buckets runs
+in float64, for real f and q >= 2: its rows are added one after another,
+which rounds the real parts exactly as the complex reduction does. The
+q-long bucket vector is widened to complex128 before anything reads it, so
+the character sums and the division by phi(q) stay complex. At q = 1 the
+reduction is one pairwise sum, whose blocks differ between float64 and
+complex128, so it runs in complex128.
 """
 
 from __future__ import annotations
@@ -32,12 +38,26 @@ from .multfun import ArithFn
 _IMAG_TOL = 1e-9
 
 
+def bucket_values(f: ArithFn, m: int) -> np.ndarray:
+    """A view of f.values[0..m] for residue_buckets: the float64 real parts when f is real."""
+    return f.values[: m + 1].real if f.is_real else f.values[: m + 1]
+
+
 def residue_buckets(values: np.ndarray, m: int, q: int) -> np.ndarray:
-    """b[r] = sum of values[n] over 0 <= n <= m with n = r (mod q)."""
-    rows = (m + 1 + q - 1) // q
-    buf = np.zeros(rows * q, dtype=np.complex128)
-    buf[: m + 1] = values[: m + 1]
-    return buf.reshape(rows, q).sum(axis=0)
+    """b[r] = sum of values[n] over 0 <= n <= m with n = r (mod q), as complex128.
+
+    The full rows of q values are reduced as a view of `values`; the partial
+    last row, padded with zeros to q entries, is added after them. Float64
+    `values` (bucket_values of a real f) are reduced in float64, except at
+    q = 1; see the numerical policy above.
+    """
+    if q == 1:
+        values = values[: m + 1].astype(np.complex128, copy=False)
+    rows = (m + 1) // q
+    last = np.zeros(q, dtype=values.dtype)
+    last[: m + 1 - rows * q] = values[rows * q : m + 1]
+    b = values[: rows * q].reshape(rows, q).sum(axis=0) + last
+    return b.astype(np.complex128, copy=False)
 
 
 def chunked_map(fn, items: Sequence, size: int, threads: int) -> list:
@@ -92,7 +112,7 @@ def twisted_sum(f: ArithFn, x: float, chi: DirichletCharacter) -> complex:
     if m > f.limit:
         raise OutOfRangeError(f"x={x} exceeds function limit {f.limit}")
     q = chi.modulus
-    b = residue_buckets(f.values, m, q)
+    b = residue_buckets(bucket_values(f, m), m, q)
     rs = _coprime_residues(q)
     cv = chi.residue_values()
     return complex(np.sum(np.conj(cv[rs]) * b[rs]))
@@ -101,7 +121,7 @@ def twisted_sum(f: ArithFn, x: float, chi: DirichletCharacter) -> complex:
 def delta(f: ArithFn, x: float, q: int, a: int, table=None) -> DiscrepancyReport:
     """Plain discrepancy: progression sum minus coprime average."""
     m = _check_args(f, x, q, a)
-    b = residue_buckets(f.values, m, q)
+    b = residue_buckets(bucket_values(f, m), m, q)
     rs = _coprime_residues(q)
     prog = complex(b[a % q])
     cop = complex(np.sum(b[rs]))
@@ -128,7 +148,7 @@ def delta_xi(
 ) -> DiscrepancyReport:
     """Xi-corrected discrepancy: subtract (1/phi) sum_{chi in Xi_q} chi(a) S_f(x, chi)."""
     m = _check_args(f, x, q, a)
-    b = residue_buckets(f.values, m, q)
+    b = residue_buckets(bucket_values(f, m), m, q)
     rs = _coprime_residues(q)
     phi = len(rs)
     prog = complex(b[a % q])
@@ -164,11 +184,11 @@ class BVSumReport:
 
 
 def _bv_rows_for(
-    f: ArithFn, m: int, qs: Sequence[int], xi: Optional[CharacterSet]
+    values: np.ndarray, m: int, qs: Sequence[int], xi: Optional[CharacterSet]
 ) -> list[tuple[int, int, float]]:
     rows = []
     for q in qs:
-        b = residue_buckets(f.values, m, q)
+        b = residue_buckets(values, m, q)
         rs = _coprime_residues(q)
         phi = len(rs)
         if xi is None:
@@ -207,7 +227,9 @@ def bv_sum(
         raise ParameterError(f"Q must be >= 1, got {Q}")
     if Q > x:
         raise ParameterError(f"Q={Q} exceeds x={x}")
-    parts = chunked_map(lambda qs: _bv_rows_for(f, m, qs, xi), range(1, Q + 1), 64, threads)
+    # every modulus reads the values, so one contiguous copy pays for itself
+    values = np.ascontiguousarray(bucket_values(f, m))
+    parts = chunked_map(lambda qs: _bv_rows_for(values, m, qs, xi), range(1, Q + 1), 64, threads)
     rows = [row for part in parts for row in part]
     total = 0.0
     for _q, _a, v in rows:

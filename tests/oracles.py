@@ -7,6 +7,8 @@ it is used to check.
 
 import math
 
+import numpy as np
+
 
 def trial_division(n):
     """Factorization by trial division: list of (p, e), primes ascending."""
@@ -50,6 +52,18 @@ def brute_delta(values, x, q, a):
     prog = sum(values[n] for n in range(1, m + 1) if n % q == a % q)
     cop = sum(values[n] for n in range(1, m + 1) if math.gcd(n, q) == 1)
     return prog - cop / phi_naive(q)
+
+
+def copied_residue_buckets(values, m, q):
+    """Residue bucket sums as bvlab first computed them, to compare bit for bit.
+
+    values[0..m] are copied into a zero-padded complex128 buffer, which is
+    reshaped to (rows, q) and summed over the rows.
+    """
+    rows = (m + q) // q
+    buf = np.zeros(rows * q, dtype=np.complex128)
+    buf[: m + 1] = values[: m + 1]
+    return buf.reshape(rows, q).sum(axis=0)
 
 
 def smooth_numbers(limit, y):

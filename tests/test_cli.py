@@ -299,6 +299,11 @@ MU = '{"kind":"builtin","name":"moebius"}'
         (["bv-sum", "--config", "nan_cm.json", "--x", "100", "--Q", "3"], 3),
         # x is a float flag in every command
         (["counterexample", "--x", "1e5", "--gamma", "2"], 0),
+        # preconditions checked before sqrt(X / y) and log(x): exit 3
+        (["assembly-check", "--f", MU, "--X", "1000", "--y", "0"], 3),
+        (["assembly-check", "--f", MU, "--X", "1000", "--y", "-1"], 3),
+        (["counterexample", "--x", "1", "--gamma", "2"], 3),
+        (["counterexample", "--x", "0", "--gamma", "2"], 3),
     ],
 )
 def test_bad_inputs_exit_without_traceback(tmp_path, capsys, monkeypatch, argv, code):

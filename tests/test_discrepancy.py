@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from bvlab import InvariantViolationError, ParameterError
+from bvlab import InvariantViolationError, ParameterError, discrepancy
 from bvlab.characters import (
     CharacterSet,
     enumerate_characters,
@@ -12,6 +12,7 @@ from bvlab.characters import (
     trivial_set,
 )
 from bvlab.discrepancy import (
+    bucket_values,
     bv_sum,
     delta,
     delta_xi,
@@ -23,7 +24,7 @@ from bvlab.discrepancy import (
 )
 from bvlab.multfun import ArithFn, character_fn, moebius, one, restrict_to_primes, to_arith
 from families import seeded_family
-from oracles import brute_delta
+from oracles import brute_delta, copied_residue_buckets
 
 
 @pytest.fixture(scope="module")
@@ -276,3 +277,79 @@ def test_imaginary_part_guard(table):
     f = ArithFn(values=vals, limit=100, label="one")
     rep = delta(f, 100, 4, 1, table)
     assert rep.delta.imag == 0
+
+
+def random_table(kind, limit, seed=2):
+    """Seeded non-integer values on 1..limit: real ones, or points of the unit disc."""
+    rng = np.random.default_rng(seed)
+    vals = rng.uniform(-1, 1, limit + 1).astype(np.complex128)
+    if kind == "complex":
+        vals = vals * np.exp(2j * np.pi * rng.random(limit + 1))
+    return ArithFn(values=vals, limit=limit, label=f"random-{kind}")
+
+
+def with_copied_kernel(monkeypatch, compute):
+    """compute() as it is, then again with the copied complex128 kernel of oracles.py."""
+    got = compute()
+    with monkeypatch.context() as mp:
+        mp.setattr(discrepancy, "bucket_values", lambda f, m: f.values[: m + 1])
+        mp.setattr(discrepancy, "residue_buckets", copied_residue_buckets)
+        want = compute()
+    return got, want
+
+
+XI = CharacterSet(members=(enumerate_characters(1)[0], enumerate_characters(3)[1],
+                           enumerate_characters(5)[1]))
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_residue_buckets_match_copied_kernel(kind):
+    f = random_table(kind, 3000)
+    for m in (3000, 2999, 1234):
+        view = bucket_values(f, m)
+        assert view.dtype == (np.float64 if kind == "real" else np.complex128)
+        for q in [*range(1, 130), 997, m - 1, m, m + 1, m + 40]:
+            want = copied_residue_buckets(f.values, m, q).tobytes()
+            for values in (view, np.ascontiguousarray(view), f.values):
+                b = residue_buckets(values, m, q)
+                assert b.dtype == np.complex128 and b.tobytes() == want, (m, q)
+
+
+@pytest.mark.parametrize(
+    "kind, x, Q, xi",
+    [
+        ("real", 3000, 300, None),  # q = 1 sums non-integer reals
+        ("real", 3000, 300, XI),
+        ("complex", 3000, 300, None),
+        ("complex", 3000, 300, XI),
+        ("real", 2000.5, 2000, None),  # Q = floor(x): the longest partial rows
+        ("complex", 2000.5, 2000, XI),
+    ],
+)
+def test_bv_sum_matches_copied_kernel(monkeypatch, table, kind, x, Q, xi):
+    f = random_table(kind, 3000)
+    got, want = with_copied_kernel(monkeypatch, lambda: bv_sum(f, x, Q, xi, table, threads=2))
+    assert repr(got) == repr(want)  # repr round-trips every float
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_single_modulus_paths_match_copied_kernel(monkeypatch, table, kind):
+    f = random_table(kind, 3000)
+
+    def compute():
+        out = []
+        for q in (1, 2, 7, 30, 2500):
+            out.append(twisted_sum(f, 2999.5, enumerate_characters(q)[-1]))
+            out.append(delta(f, 2999.5, q, 1, table))
+            out.append(delta_xi(f, 2999.5, q, 1, XI, table))
+        return out
+
+    got, want = with_copied_kernel(monkeypatch, compute)
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("kind, xi", [("real", None), ("complex", XI)])
+def test_bv_sum_rows_identical_across_threads(table, kind, xi):
+    f = random_table(kind, 3000)
+    reps = [repr(bv_sum(f, 3000, 300, xi, table, threads=t)) for t in (1, 2, 3)]
+    assert reps[0] == reps[1] == reps[2]
