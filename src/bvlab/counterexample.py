@@ -67,6 +67,8 @@ def plan_counterexample(
         raise ParameterError(f"x={x} must be >= 2")
     if Q is None:
         Q = default_Q(x)
+    if Q < 1:
+        raise ParameterError(f"Q must be >= 1, got {Q}")
     logx = math.log(x)
     y = x / logx**gamma
     z = 2 * logx**gamma

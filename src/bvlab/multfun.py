@@ -216,18 +216,45 @@ def to_arith(f: MultFn, limit: int, table: PrimeTable) -> ArithFn:
     return ArithFn(values=vals, limit=limit, label=f.label)
 
 
+def _divisor_sweep(fv: np.ndarray, gv: np.ndarray, cut: int, limit: int) -> np.ndarray:
+    """h(n) = sum of fv[d] * gv[e] over n = d*e <= limit with d, e <= cut.
+
+    Each h(n) adds its terms in ascending d, in about 2 sqrt(limit) slice
+    updates split at T = min(isqrt(limit), cut). Pass 1 sweeps d <= T, one
+    slice per d. Every term with d > T has e = n/d < limit/T, so pass 2
+    sweeps those terms one slice per e. It runs e in descending order:
+    for a fixed n, descending e is ascending d, so each h(n) gets the same
+    terms in the same order as a sweep over all d, and the same bits.
+    Zero f(d) in pass 1 and zero g(e) in pass 2 are skipped: h never holds
+    -0.0, so adding a signed zero would leave it unchanged.
+    """
+    h = np.zeros(limit + 1, dtype=np.complex128)
+    cut = max(cut, 0)
+    t = min(math.isqrt(limit), cut)
+    for d in range(1, t + 1):
+        fd = fv[d]
+        if fd != 0:
+            ln = min(cut, limit // d)
+            h[d : d * ln + 1 : d] += fd * gv[1 : ln + 1]
+    for e in range(min(cut, limit // (t + 1)), 0, -1):
+        ge = gv[e]
+        if ge != 0:
+            top = min(cut, limit // e)
+            h[e * (t + 1) : e * top + 1 : e] += fv[t + 1 : top + 1] * ge
+    return h
+
+
 def dirichlet_convolve(f: ArithFn, g: ArithFn, limit: int) -> ArithFn:
-    """h(n) = sum_{d|n} f(d) g(n/d) for all n <= limit (divisor sweep)."""
+    """h(n) = sum_{d|n} f(d) g(n/d) for all n <= limit.
+
+    Each h(n) adds f(d) g(n/d) in ascending d, in two passes split at
+    T = isqrt(limit) (see _divisor_sweep).
+    """
     if f.limit < limit or g.limit < limit:
         raise ParameterError(
             f"operands defined to {f.limit} and {g.limit}; need {limit}"
         )
-    fv, gv = f.values, g.values
-    h = np.zeros(limit + 1, dtype=np.complex128)
-    for d in range(1, limit + 1):
-        fd = fv[d]
-        if fd != 0:
-            h[d::d] += fd * gv[1 : limit // d + 1]
+    h = _divisor_sweep(f.values, g.values, limit, limit)
     return ArithFn(values=h, limit=limit, label=f"({f.label}*{g.label})")
 
 
@@ -352,13 +379,7 @@ def truncated_convolution(f: ArithFn, g: ArithFn, cutoff: float, limit: int) -> 
             f"operands defined to {f.limit} and {g.limit}; need {limit}"
         )
     cut = min(int(math.floor(cutoff)), limit)
-    fv, gv = f.values, g.values
-    h = np.zeros(limit + 1, dtype=np.complex128)
-    for d in range(1, cut + 1):
-        fd = fv[d]
-        if fd != 0:
-            ln = min(cut, limit // d)
-            h[d : d * ln + 1 : d] += fd * gv[1 : ln + 1]
+    h = _divisor_sweep(f.values, g.values, cut, limit)
     return ArithFn(values=h, limit=limit, label=f"({f.label}*{g.label})|cut{cutoff:g}")
 
 

@@ -66,6 +66,20 @@ def copied_residue_buckets(values, m, q):
     return buf.reshape(rows, q).sum(axis=0)
 
 
+def one_pass_convolution(fv, gv, cut, limit):
+    """Divisor sums as bvlab first computed them, to compare bit for bit.
+
+    One slice update per d <= cut, ascending, adding f(d) g(e) for every
+    e <= min(cut, limit // d); zero f(d) are skipped.
+    """
+    h = np.zeros(limit + 1, dtype=np.complex128)
+    for d in range(1, min(cut, limit) + 1):
+        if fv[d] != 0:
+            ln = min(cut, limit // d)
+            h[d : d * ln + 1 : d] += fv[d] * gv[1 : ln + 1]
+    return h
+
+
 def smooth_numbers(limit, y):
     """All y-smooth n in [1, limit]."""
     out = []

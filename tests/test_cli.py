@@ -304,6 +304,8 @@ MU = '{"kind":"builtin","name":"moebius"}'
         (["assembly-check", "--f", MU, "--X", "1000", "--y", "-1"], 3),
         (["counterexample", "--x", "1", "--gamma", "2"], 3),
         (["counterexample", "--x", "0", "--gamma", "2"], 3),
+        (["counterexample", "--x", "100000", "--gamma", "2", "--Q", "0"], 3),
+        (["counterexample", "--x", "100000", "--gamma", "2", "--Q", "-4"], 3),
     ],
 )
 def test_bad_inputs_exit_without_traceback(tmp_path, capsys, monkeypatch, argv, code):

@@ -31,7 +31,7 @@ from bvlab.multfun import (
     truncated_convolution,
 )
 from families import seeded_family
-from oracles import brute_convolve, divisors, trial_division
+from oracles import brute_convolve, divisors, one_pass_convolution, trial_division
 
 LIMIT = 10**4
 
@@ -203,6 +203,7 @@ def test_truncated_convolution_examples(table):
     full = dirichlet_convolve(o, o, lim)
     hfull = truncated_convolution(o, o, lim, lim)
     assert np.allclose(hfull.values, full.values)
+    assert hfull.values.tobytes() == full.values.tobytes()
     # h(p) = 0 for prime p > cutoff
     assert h.values[7] == 0
 
@@ -220,6 +221,62 @@ def test_truncated_convolution_brute(table):
             if d <= cutoff and n // d <= cutoff
         )
         assert h.values[n] == pytest.approx(want, abs=1e-12)
+
+
+_CONV_KINDS = ("real", "complex", "sparse", "powerful-first")
+
+
+def _conv_operands(kind, limit, table):
+    """Two ArithFn operands defined a little past limit, seeded by kind and limit."""
+    rng = np.random.default_rng([limit, _CONV_KINDS.index(kind)])
+    size = limit + 8
+
+    def disc():
+        return rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size)
+
+    if kind == "real":
+        fv, gv = rng.uniform(-1, 1, size), rng.uniform(-1, 1, size)
+    elif kind == "complex":
+        fv, gv = disc(), disc()
+    else:
+        # f zero at small d and at random d; g supported on the powerful
+        # numbers, as the companion-check convolution g_powerful * f_star
+        fv = disc()
+        fv[: math.isqrt(limit) + 2] = 0
+        fv[rng.random(size) < 0.3] = 0
+        f = seeded_family(limit, 1, size, kind="class-c")[0]
+        gv = to_arith(companion_split(f, size)[1], size - 1, table).values
+        if kind == "powerful-first":
+            fv, gv = gv, fv
+    return ArithFn(values=fv, limit=size - 1), ArithFn(values=gv, limit=size - 1)
+
+
+@pytest.mark.parametrize("kind", _CONV_KINDS)
+@pytest.mark.parametrize("lim", [1, 2, 3, 8, 9, 10, 99, 100, 101, 9999, 10**4, 10**4 + 1])
+def test_convolutions_match_one_pass_sweep_bytes(table_1e5, kind, lim):
+    f, g = _conv_operands(kind, lim, table_1e5)
+    want = one_pass_convolution(f.values, g.values, lim, lim)
+    assert dirichlet_convolve(f, g, lim).values.tobytes() == want.tobytes()
+    t = math.isqrt(lim)
+    for cutoff in (-1, 0.5, 1, t - 1, t, t + 1, lim / 2, lim, 2 * lim):
+        cut = min(math.floor(cutoff), lim)
+        want = one_pass_convolution(f.values, g.values, cut, lim)
+        got = truncated_convolution(f, g, cutoff, lim).values
+        assert got.tobytes() == want.tobytes(), cutoff
+
+
+def test_convolutions_match_one_pass_sweep_bytes_large():
+    lim = 2 * 10**5
+    rng = np.random.default_rng(20250)
+    f, g = (
+        ArithFn(values=rng.uniform(-1, 1, lim + 1) + 1j * rng.uniform(-1, 1, lim + 1), limit=lim)
+        for _ in range(2)
+    )
+    want = one_pass_convolution(f.values, g.values, lim, lim)
+    assert dirichlet_convolve(f, g, lim).values.tobytes() == want.tobytes()
+    cut = int(lim / math.log(lim) ** 1.037)
+    want = one_pass_convolution(f.values, g.values, cut, lim)
+    assert truncated_convolution(f, g, cut, lim).values.tobytes() == want.tobytes()
 
 
 def test_companion_split_examples(table):
