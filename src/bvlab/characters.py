@@ -390,11 +390,7 @@ def primitive_characters(q: int, table=None) -> list[DirichletCharacter]:
 
 @lru_cache(maxsize=4096)
 def primitive_value_matrix(q: int) -> np.ndarray | None:
-    """Residue-value rows of all primitive characters mod q, or None if none.
-
-    Shared by the large-sieve evaluations, which average over primitive
-    characters for every modulus in a range.
-    """
+    """Residue-value rows of all primitive characters mod q, or None if none."""
     prims = primitive_characters(q)
     if not prims:
         return None

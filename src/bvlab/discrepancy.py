@@ -20,8 +20,10 @@ complex128, so it runs in complex128.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,8 +31,8 @@ import numpy as np
 from .characters import (
     CharacterSet,
     DirichletCharacter,
+    _factor_small,
     induced_set,
-    primitive_value_matrix,
 )
 from .errors import InvariantViolationError, OutOfRangeError, ParameterError
 from .multfun import ArithFn
@@ -63,11 +65,13 @@ def residue_buckets(values: np.ndarray, m: int, q: int) -> np.ndarray:
 def chunked_map(fn, items: Sequence, size: int, threads: int) -> list:
     """fn over consecutive size-long slices of items, on up to `threads` threads.
 
-    Results come back in slice order, whatever the thread count.
+    The pool has min(threads, slices, CPUs) workers. Results come back in
+    slice order, whatever the thread count.
     """
     chunks = [items[i : i + size] for i in range(0, len(items), size)]
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
+    workers = min(threads, len(chunks), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as ex:
             return list(ex.map(fn, chunks))
     return [fn(c) for c in chunks]
 
@@ -296,6 +300,85 @@ def partial_summation_check(
     return float(abs(lhs - rhs))
 
 
+def _moebius_phi(n: int) -> tuple[int, int]:
+    """(mu(n), phi(n)), read off the factorization of n."""
+    mu, phi = 1, 1
+    for p, e in _factor_small(n):
+        mu = -mu if e == 1 else 0
+        phi *= (p - 1) * p ** (e - 1)
+    return mu, phi
+
+
+@dataclass(frozen=True)
+class _SievePlan:
+    """The index arrays of large_sieve_check for every modulus r <= R.
+
+    Entry j reads flat[gather[j]], the bucket sum B_r(u) of one u coprime
+    to r (flat holds B_1, B_2, ... back to back, B_r from offset r(r-1)/2),
+    and adds it to group key[j]. There is one group per (r, d, c) with
+    d | r, mu(r/d) != 0 and c = u mod d, and weight[g] = mu(r/d) phi(d).
+    Entries and groups are ordered by r, so those of r <= Q are the first
+    entry_end[Q] and group_end[Q]: one plan serves every Q <= R.
+    """
+
+    gather: np.ndarray
+    key: np.ndarray
+    weight: np.ndarray
+    entry_end: np.ndarray  # indexed by r = 0..R
+    group_end: np.ndarray  # indexed by r = 0..R
+    ratio: np.ndarray  # r / phi(r) at index r - 1
+
+
+@lru_cache(maxsize=None)
+def _sieve_plan(R: int) -> _SievePlan:
+    mu_phi = [(1, 1)] + [_moebius_phi(n) for n in range(1, R + 1)]
+    gather, key, weight = [], [], []
+    entry_end, group_end = [0], [0]
+    for r in range(1, R + 1):
+        u = _coprime_residues(r)
+        entries, groups = entry_end[-1], group_end[-1]
+        for d in range(1, r + 1):
+            if r % d == 0 and mu_phi[r // d][0] != 0:
+                gather.append(r * (r - 1) // 2 + u)
+                key.append(groups + u % d)
+                weight.append(np.full(d, float(mu_phi[r // d][0] * mu_phi[d][1])))
+                entries += len(u)
+                groups += d
+        entry_end.append(entries)
+        group_end.append(groups)
+    return _SievePlan(
+        gather=np.concatenate(gather).astype(np.intp),
+        key=np.concatenate(key).astype(np.intp),
+        weight=np.concatenate(weight),
+        entry_end=np.array(entry_end),
+        group_end=np.array(group_end, dtype=np.intp),
+        ratio=np.array([r / mu_phi[r][1] for r in range(1, R + 1)]),
+    )
+
+
+def _primitive_sums(a: np.ndarray, Q: int, start: int, plan: _SievePlan) -> np.ndarray:
+    """sum*_{psi mod r} |sum_n a_n psi(n)|^2 for r = 1..Q, n in (start, start+N].
+
+    plan is _sieve_plan(R) for any R >= Q. See large_sieve_check.
+    """
+    N = len(a)
+    # a_n sits at index n - start - 1 + Q, with Q zeros on either side, so
+    # for every r a window of whole rows starts at some n = 0 (mod r)
+    buf = np.zeros(N + 2 * Q, dtype=np.complex128)
+    buf[Q : Q + N] = a
+    flat = np.empty(Q * (Q + 1) // 2, dtype=np.complex128)
+    for r in range(1, Q + 1):
+        lo = Q - (start + 1) % r
+        rows = -(-(N + Q - lo) // r)
+        window = buf[lo : lo + rows * r].reshape(rows, r)
+        np.add.reduce(window, axis=0, out=flat[r * (r - 1) // 2 : r * (r + 1) // 2])
+    k, g = plan.entry_end[Q], plan.group_end[Q]
+    b = flat[plan.gather[:k]]
+    re = np.bincount(plan.key[:k], weights=b.real, minlength=g)
+    im = np.bincount(plan.key[:k], weights=b.imag, minlength=g)
+    return np.add.reduceat(plan.weight[:g] * (re * re + im * im), plan.group_end[:Q])
+
+
 def large_sieve_check(
     coeffs: Sequence[complex], Q: int, table=None, start: int = 0
 ) -> tuple[float, float, float]:
@@ -304,6 +387,24 @@ def large_sieve_check(
     lhs = sum_{r <= Q} (r/phi(r)) sum*_{psi mod r} |sum_n a_n psi(n)|^2 with n
     running over (start, start+N]; rhs = (N + Q^2) sum |a_n|^2. The
     inequality is a theorem, so lhs > rhs raises InvariantViolationError.
+
+    No character is computed. With B_r(u) the sum of a_n over n = u (mod r),
+    the identity, for (w, r) = 1,
+        sum*_{psi mod r} psi(w) = sum_{d | (r, w-1)} phi(d) mu(r/d)
+    (Montgomery-Vaughan, Multiplicative Number Theory I, ch. 9) turns the
+    sum over primitive characters into real sums over residue classes:
+        sum*_psi |sum_u B_r(u) psi(u)|^2
+          = sum_{d | r} mu(r/d) phi(d) sum_{c mod d} |sum_{(u,r)=1, u = c (d)} B_r(u)|^2.
+    One gather and two bincounts form the class sums of every (r, d) at once.
+
+    Rounding: that inner sum is signed. Each of its 2^omega(r) <= tau(r)
+    terms lies in [0, phi(r) sum_u |B_r(u)|^2] (Cauchy-Schwarz over the
+    phi(r)/phi(d) units in a class), so adding them up costs an absolute
+    error of about eps tau(r) phi(r) sum_u |B_r(u)|^2; after the factor
+    r/phi(r) and the sum over r, about eps Q log Q times rhs at most. Where
+    r has no primitive character (r = 2 mod 4) the exact inner sum is 0 and
+    the computed one may be a tiny negative number; it is added as it is,
+    not clamped.
     """
     a = np.asarray(coeffs, dtype=np.complex128)
     N = len(a)
@@ -311,21 +412,10 @@ def large_sieve_check(
         raise ParameterError("need at least one coefficient")
     if Q < 1:
         raise ParameterError(f"Q must be >= 1, got {Q}")
-    ns = start + 1 + np.arange(N)
     ss = float(np.sum(np.abs(a) ** 2))
     rhs = (N + Q * Q) * ss
-    lhs = 0.0
-    for r in range(1, Q + 1):
-        mat = primitive_value_matrix(r)
-        if mat is None:
-            continue
-        mods = ns % r
-        br = np.bincount(mods, weights=a.real, minlength=r)
-        bi = np.bincount(mods, weights=a.imag, minlength=r)
-        b = br + 1j * bi
-        phi = len(_coprime_residues(r))
-        inner = float(np.sum(np.abs(mat @ b) ** 2))
-        lhs += r / phi * inner
+    plan = _sieve_plan(1 << (Q - 1).bit_length())
+    lhs = float(np.sum(plan.ratio[:Q] * _primitive_sums(a, Q, start, plan)))
     if lhs > rhs:
         raise InvariantViolationError(
             f"large sieve violated: lhs={lhs} > rhs={rhs} (N={N}, Q={Q})"

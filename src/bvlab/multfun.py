@@ -127,9 +127,10 @@ class ArithFn:
             raise ParameterError(
                 f"values must have length limit+1={self.limit + 1}, got {self.values.shape}"
             )
-        if self.values.dtype != np.complex128:
+        # copy only to change the array: a caller's array is never written
+        if self.values.dtype != np.complex128 or self.values[0] != 0:
             self.values = self.values.astype(np.complex128)
-        self.values[0] = 0
+            self.values[0] = 0
         self._is_real: Optional[bool] = None
 
     @property

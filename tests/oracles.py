@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 
+from bvlab.characters import primitive_value_matrix
+
 
 def trial_division(n):
     """Factorization by trial division: list of (p, e), primes ascending."""
@@ -78,6 +80,28 @@ def one_pass_convolution(fv, gv, cut, limit):
             ln = min(cut, limit // d)
             h[d : d * ln + 1 : d] += fv[d] * gv[1 : ln + 1]
     return h
+
+
+def character_large_sieve(coeffs, Q, start=0):
+    """lhs of the multiplicative large sieve as bvlab first computed it.
+
+    For each r <= Q, the matrix of primitive-character values mod r times
+    the residue sums of a_n, n in (start, start+N], summed as
+    (r/phi(r)) sum |.|^2 in ascending r.
+    """
+    a = np.asarray(coeffs, dtype=np.complex128)
+    ns = start + 1 + np.arange(len(a))
+    lhs = 0.0
+    for r in range(1, Q + 1):
+        mat = primitive_value_matrix(r)
+        if mat is None:
+            continue
+        mods = ns % r
+        br = np.bincount(mods, weights=a.real, minlength=r)
+        bi = np.bincount(mods, weights=a.imag, minlength=r)
+        b = br + 1j * bi
+        lhs += r / phi_naive(r) * float(np.sum(np.abs(mat @ b) ** 2))
+    return lhs
 
 
 def smooth_numbers(limit, y):

@@ -24,7 +24,13 @@ from bvlab.discrepancy import (
 )
 from bvlab.multfun import ArithFn, character_fn, moebius, one, restrict_to_primes, to_arith
 from families import seeded_family
-from oracles import brute_delta, copied_residue_buckets
+from oracles import (
+    brute_delta,
+    character_large_sieve,
+    copied_residue_buckets,
+    divisors,
+    phi_naive,
+)
 
 
 @pytest.fixture(scope="module")
@@ -353,3 +359,91 @@ def test_bv_sum_rows_identical_across_threads(table, kind, xi):
     f = random_table(kind, 3000)
     reps = [repr(bv_sum(f, 3000, 300, xi, table, threads=t)) for t in (1, 2, 3)]
     assert reps[0] == reps[1] == reps[2]
+
+
+# large_sieve_check sums over residue classes where the oracle multiplies
+# by primitive-character matrices, so the two round differently. The
+# docstring bounds the rounding of the signed inner sum of each r by about
+# eps tau(r) phi(r) sum_u |B_r(u)|^2, far below rhs; relative to lhs, the
+# two agree to LS_REL.
+LS_REL = 1e-13
+EPS = np.finfo(np.float64).eps
+
+
+def _ls_coeffs(rng, N, kind):
+    a = rng.uniform(-1, 1, N)
+    return a + 1j * rng.uniform(-1, 1, N) if kind == "complex" else a
+
+
+@pytest.mark.parametrize("Q", [1, 2, 3, 4, 8, 30, 210, 256])
+@pytest.mark.parametrize("start", [0, 1, 37])
+def test_large_sieve_matches_character_oracle(Q, start):
+    rng = np.random.default_rng(1000 * Q + start)
+    for N in sorted({1, 2, max(1, Q // 2), Q + 1, 250}):  # N < r for r > N
+        for kind in ("real", "complex"):
+            a = _ls_coeffs(rng, N, kind)
+            lhs, rhs, ratio = large_sieve_check(a, Q, start=start)
+            want = character_large_sieve(a, Q, start)
+            assert abs(lhs - want) <= LS_REL * want, (N, kind, lhs, want)
+            assert rhs == (N + Q * Q) * float(np.sum(np.abs(a.astype(complex)) ** 2))
+            assert ratio == lhs / rhs and lhs <= rhs
+
+
+def test_large_sieve_signed_sum_rounding_bound():
+    """r = 2 (mod 4) has no primitive character: its inner sum is 0 exactly.
+
+    The computed one stays within the docstring's bound
+    eps tau(r) phi(r) sum_u |B_r(u)|^2, and some come out negative: they are
+    not clamped. Any plan of size R >= Q gives the same bits.
+    """
+    rng = np.random.default_rng(6)
+    negative = 0
+    for _ in range(40):
+        N, Q, start = int(rng.integers(1, 600)), int(rng.integers(2, 130)), int(rng.integers(0, 50))
+        a = _ls_coeffs(rng, N, "complex")
+        inner = discrepancy._primitive_sums(a, Q, start, discrepancy._sieve_plan(Q))
+        wide = discrepancy._primitive_sums(a, Q, start, discrepancy._sieve_plan(512))
+        assert inner.tobytes() == wide.tobytes()
+        ns = start + 1 + np.arange(N)
+        for r in range(2, Q + 1, 4):
+            b = np.bincount(ns % r, weights=a.real, minlength=r) + 1j * np.bincount(
+                ns % r, weights=a.imag, minlength=r
+            )
+            bound = EPS * len(divisors(r)) * phi_naive(r) * float(np.sum(np.abs(b) ** 2))
+            assert abs(inner[r - 1]) <= bound, (N, Q, start, r)
+            negative += inner[r - 1] < 0
+    assert negative > 0
+
+
+@pytest.mark.parametrize(
+    "threads, items, cpus, workers",
+    [
+        (10**5, 1000, 4, 4),  # 16 chunks, capped at the CPU count
+        (3, 1000, 8, 3),
+        (8, 100, 8, 2),  # two chunks
+        (8, 64, 8, None),  # one chunk: no pool
+        (8, 1000, None, None),  # CPU count unknown: one worker
+        (1, 1000, 8, None),
+    ],
+)
+def test_chunked_map_caps_workers(monkeypatch, threads, items, cpus, workers):
+    seen = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            return map(fn, chunks)
+
+    monkeypatch.setattr(discrepancy, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(discrepancy.os, "cpu_count", lambda: cpus)
+    got = discrepancy.chunked_map(sum, range(items), 64, threads)
+    assert got == [sum(range(i, min(i + 64, items))) for i in range(0, items, 64)]
+    assert seen == ([] if workers is None else [workers])

@@ -357,6 +357,17 @@ def test_companion_identity_family(table):
                 assert all(e >= 2 for _, e in fs), n
 
 
+def test_arithfn_leaves_the_callers_array_alone():
+    v = np.array([5, 1, 2], complex)
+    f = ArithFn(values=v, limit=2)
+    assert v[0] == 5 and f.values[0] == 0 and f.values is not v
+    w = np.array([0, 1, 2], complex)
+    assert ArithFn(values=w, limit=2).values is w  # nothing to change: no copy
+    r = np.array([7.0, 1.0, 2.0])
+    g = ArithFn(values=r, limit=2)
+    assert r[0] == 7 and g.values[0] == 0 and g.values.dtype == np.complex128
+
+
 def test_flog_equals_lambda_star_f(table):
     lim = 2000
     for f in seeded_family(26, 4, lim, kind="class-c"):
