@@ -59,6 +59,7 @@ from .multfun import (
     inverse,
     lambda_seq,
     log_twist,
+    powerful,
     prime_power_values,
     to_arith,
 )
@@ -468,9 +469,8 @@ def _cmd_companion_check(args):
     gd = to_arith(g, limit, table)
     conv = dirichlet_convolve(gd, to_arith(fstar, limit, table), limit)
     resid = float(np.max(np.abs(conv.values - fd.values)))
-    # p^k -> [k >= 2] is multiplicative: its dense form is 0 off the powerful n
-    powerful = to_arith(MultFn(lambda p, k: float(k >= 2), limit), limit, table)
-    off_powerful = float(np.max(np.abs(gd.values[powerful.values == 0]), initial=0.0))
+    off = to_arith(powerful(limit), limit, table).values == 0
+    off_powerful = float(np.max(np.abs(gd.values[off]), initial=0.0))
     gpp = prime_power_values(g, limit, table)
     worst_pk = float(np.max(np.hypot(gpp.real, gpp.imag), initial=0.0))
     obj = {

@@ -84,18 +84,16 @@ def plan_counterexample(
 
 def counterexample_multfn(spec: CounterexampleSpec, table: PrimeTable) -> MultFn:
     """The completely multiplicative f with values in {-1, 0, 1} at primes."""
-    script_P = spec.script_P
+    script_P = _script_P_array(spec)
     z, y = spec.z, spec.y
 
-    def at_prime(p: int) -> float:
-        if p <= z or p > y:
-            return 0.0
-        if p in script_P:
-            return -1.0
-        return 1.0
+    def rule(p: np.ndarray, k: np.ndarray) -> np.ndarray:
+        at_prime = np.where(np.isin(p, script_P), -1.0, 1.0)
+        at_prime[(p <= z) | (p > y)] = 0.0
+        return at_prime**k
 
-    return MultFn(
-        lambda p, k: at_prime(p) ** k,
+    return MultFn.from_arrays(
+        rule,
         spec.x,
         label=f"counterexample(x={spec.x},gamma={spec.gamma:g},Q={spec.Q})",
     )

@@ -6,6 +6,11 @@ Base kinds:
   {"kind": "cm", "primes": {"2": [re, im], ...}, "default": [re, im]}
   {"kind": "table", "path": "values.npz"}          (prime-power table)
 
+A table npz holds a 1-D integer array prime_powers and a 1-D array values
+of the same length; no entry of prime_powers may repeat. f(p^k) is the
+value listed at p^k, and 0 where p^k is not listed; entries that are not
+prime powers are never read.
+
 Modifiers, applied in this fixed order regardless of key order:
   {"smooth_y": Y}       zero out prime powers with p > Y
   {"restrict": "primes"}   keep only values at primes (densifies)
@@ -30,9 +35,9 @@ from .multfun import (
     ArithFn,
     MultFn,
     character_fn,
+    cm_from_arrays,
     liouville,
     log_twist,
-    make_multfn,
     moebius,
     one,
     prime_power_values,
@@ -59,10 +64,22 @@ def _as_complex(pair, where: str) -> complex:
     return v
 
 
+def _lookup(keys: np.ndarray, values: np.ndarray, default: complex):
+    """n -> the value at n in sorted distinct keys, else default, over an int64 array n."""
+
+    def get(n: np.ndarray) -> np.ndarray:
+        if not len(keys):
+            return np.full(len(n), default, dtype=np.complex128)
+        i = np.minimum(np.searchsorted(keys, n), len(keys) - 1)
+        return np.where(keys[i] == n, values[i], default)
+
+    return get
+
+
 def _load_pp_table(path: str, limit: int) -> MultFn:
     try:
         with np.load(path) as data:
-            pps = data["prime_powers"].astype(np.int64)
+            pps = data["prime_powers"]
             values = data["values"].astype(np.complex128)
     except KeyError as exc:
         raise ParameterError(
@@ -71,14 +88,23 @@ def _load_pp_table(path: str, limit: int) -> MultFn:
     except (OSError, ValueError, TypeError, zipfile.BadZipFile) as exc:
         # TypeError: a plain .npy array is not a context manager
         raise ParameterError(f"table {path}: cannot read npz: {exc}") from exc
+    if pps.ndim != 1 or values.ndim != 1:
+        raise ParameterError(
+            f"table {path}: prime_powers and values must be 1-D, got shapes "
+            f"{pps.shape} and {values.shape}"
+        )
+    if pps.dtype.kind not in "iu":
+        raise ParameterError(f"table {path}: prime_powers must be integers, got {pps.dtype}")
     if len(pps) != len(values):
         raise ParameterError(f"table {path}: prime_powers and values disagree in length")
-    lookup = {int(pp): complex(v) for pp, v in zip(pps, values)}
-
-    def rule(p: int, k: int) -> complex:
-        return lookup.get(p**k, 0j)  # absent prime powers read as 0
-
-    return make_multfn(rule, limit, label=f"table:{path}")
+    pps = pps.astype(np.int64)
+    order = np.argsort(pps, kind="stable")
+    keys = pps[order]
+    twice = np.flatnonzero(keys[1:] == keys[:-1])
+    if len(twice):
+        raise ParameterError(f"table {path}: prime power {keys[twice[0]]} is listed twice")
+    get = _lookup(keys, values[order], 0j)  # absent prime powers read as 0
+    return MultFn.from_arrays(lambda p, k: get(p**k), limit, label=f"table:{path}")
 
 
 def save_pp_table(f: MultFn, limit: int, table: PrimeTable, path) -> None:
@@ -130,7 +156,11 @@ def parse_function_spec(spec, limit: int, table: PrimeTable):
         default = (
             _as_complex(spec["default"], "cm default") if "default" in spec else 0j
         )
-        f = make_multfn(lambda p, k: at.get(p, default) ** k, limit, label="cm")
+        listed = sorted(p for p in at if 1 <= p <= limit)  # only these can be looked up
+        get = _lookup(
+            np.array(listed, dtype=np.int64), np.array([at[p] for p in listed], complex), default
+        )
+        f = cm_from_arrays(get, limit, label="cm")
     elif kind == "table":
         path = spec.get("path")
         if not isinstance(path, str):

@@ -1,11 +1,19 @@
 """The class-C function algebra.
 
-A MultFn is a multiplicative function given by a prime-power rule
-(p, k) -> f(p^k); values at arbitrary n come from the factorization. Its
-one materialized form is the prime-power array: prime_powers enumerates
-(p^k, p, k) up to a limit and prime_power_values calls the rule once per
-entry. to_arith, lambda_seq and save_pp_table all read that array. An
-ArithFn is a dense complex value array for non-multiplicative objects
+A MultFn is a multiplicative function given by a prime-power rule; values
+at arbitrary n come from the factorization. Its one materialized form is
+the prime-power array: prime_powers enumerates (p^k, p, k) up to a limit
+and prime_power_values reads f at all of them in one values_at call.
+to_arith, lambda_seq and save_pp_table all read that array.
+
+There are two kinds of rule. The library's functions (builtins,
+characters, completely multiplicative functions, tables, inverses,
+companions, truncations, the counterexample) have array rules: int64
+arrays p, k -> complex128 f(p^k), called once per values_at call, so once
+per materialized function. A rule (p, k) -> f(p^k) on Python scalars, as a
+caller may pass to MultFn, is called once per prime power and memoized.
+
+An ArithFn is a dense complex value array for non-multiplicative objects
 (restrictions to primes, log twists, convolutions) and for feeding the
 discrepancy machinery, which wants whole arrays anyway.
 
@@ -29,11 +37,18 @@ from .errors import ClassViolationError, OutOfRangeError, ParameterError
 _TOL = 1e-12  # slack on the unit-disc check for prime-power values
 
 
-class MultFn:
-    """Multiplicative function from a prime-power rule, memoized per instance.
+def _violation(p: int, k: int, v: complex, label: str) -> ClassViolationError:
+    return ClassViolationError(f"|f({p}^{k})| = {abs(v)} exceeds 1 (label={label!r})")
 
-    The memo is write-once per prime power (idempotent overwrites of
-    identical values), so concurrent evaluation is safe.
+
+class MultFn:
+    """Multiplicative function from a prime-power rule.
+
+    MultFn(rule, ...) takes a scalar rule (p, k) -> f(p^k), memoized per
+    instance; the memo is write-once per prime power (idempotent overwrites
+    of identical values), so concurrent evaluation is safe.
+    MultFn.from_arrays(rule, ...) takes an array rule, int64 arrays p, k ->
+    f(p^k) as complex128, evaluated anew on each values_at call.
     """
 
     def __init__(
@@ -49,18 +64,50 @@ class MultFn:
         self.limit = limit
         self.label = label
         self.validate = validate
+        self._array_rule: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
         self._pp: dict[int, complex] = {}
 
+    @classmethod
+    def from_arrays(
+        cls,
+        rule: Callable[[np.ndarray, np.ndarray], np.ndarray],
+        limit: int,
+        label: str = "",
+        validate: bool = True,
+    ) -> "MultFn":
+        f = cls(rule, limit, label, validate)
+        f._array_rule = rule
+        return f
+
+    def values_at(self, p: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """f(p^k) for int64 arrays p, k, as complex128, in the order given.
+
+        A scalar rule goes through pp_value once per entry, in that order.
+        An array rule is called once; when validating, the least p^k whose
+        value lies outside the unit disc (NaN included) is reported.
+        """
+        if self._array_rule is None:
+            return np.array(
+                [self.pp_value(a, b) for a, b in zip(p.tolist(), k.tolist())], dtype=complex
+            )
+        v = np.asarray(self._array_rule(p, k), dtype=np.complex128)
+        if self.validate:
+            bad = np.flatnonzero(~(np.hypot(v.real, v.imag) <= 1 + _TOL))
+            if len(bad):
+                i = bad[np.argmin(p[bad] ** k[bad])]
+                raise _violation(int(p[i]), int(k[i]), complex(v[i]), self.label)
+        return v
+
     def pp_value(self, p: int, k: int) -> complex:
-        """f(p^k), memoized; checks the unit-disc bound when validating."""
+        """f(p^k); a scalar rule's value is memoized and checked when validating."""
+        if self._array_rule is not None:
+            return complex(self.values_at(np.array([p], np.int64), np.array([k], np.int64))[0])
         key = p**k
         v = self._pp.get(key)
         if v is None:
             v = complex(self.rule(p, k))
             if self.validate and not abs(v) <= 1 + _TOL:  # NaN fails too
-                raise ClassViolationError(
-                    f"|f({p}^{k})| = {abs(v)} exceeds 1 (label={self.label!r})"
-                )
+                raise _violation(p, k, v, self.label)
             self._pp[key] = v
         return v
 
@@ -68,26 +115,87 @@ class MultFn:
 make_multfn = MultFn
 
 
+def _pack(pair) -> np.ndarray:
+    """A (re, im) pair of float arrays as one complex128 array, bits kept."""
+    out = np.empty(np.shape(pair[0]), dtype=np.complex128)
+    out.real, out.imag = pair
+    return out
+
+
+def _cpow(z: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """z ** k for integers k >= 1, formed as Python's complex ** int forms it.
+
+    Python squares p = z repeatedly and multiplies r = 1 + 0j by p at each
+    set bit of k, low bits first; every product is a _cmul.
+    """
+    r = np.array([np.ones(len(z)), np.zeros(len(z))])
+    sq = np.array([z.real, z.imag])
+    bit, top = 1, int(k.max(initial=0))
+    while bit <= top:
+        r = np.where((k & bit) != 0, _cmul(r, sq), r)
+        bit <<= 1
+        if bit <= top:
+            sq = _cmul(sq, sq)
+    return _pack(r)
+
+
+def _per_prime(p: np.ndarray, at_primes: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """at_primes(ps) over the distinct ps of p, read once in ascending order, spread over p."""
+    ps, where = np.unique(p, return_inverse=True)
+    return np.asarray(at_primes(ps), dtype=np.complex128)[where]
+
+
 def one(limit: int) -> MultFn:
-    return make_multfn(lambda p, k: 1.0, limit, label="one")
+    return MultFn.from_arrays(lambda p, k: np.ones(len(p)), limit, label="one")
 
 
 def moebius(limit: int) -> MultFn:
-    return make_multfn(lambda p, k: -1.0 if k == 1 else 0.0, limit, label="moebius")
+    return MultFn.from_arrays(lambda p, k: np.where(k == 1, -1.0, 0.0), limit, label="moebius")
 
 
 def liouville(limit: int) -> MultFn:
-    return make_multfn(lambda p, k: float((-1) ** k), limit, label="liouville")
+    return MultFn.from_arrays(
+        lambda p, k: np.where(k % 2 == 1, -1.0, 1.0), limit, label="liouville"
+    )
+
+
+def powerful(limit: int) -> MultFn:
+    """The indicator of the powerful numbers: p^k -> [k >= 2]."""
+    return MultFn.from_arrays(lambda p, k: k >= 2, limit, label="powerful")
+
+
+def cm_from_arrays(
+    at_primes: Callable[[np.ndarray], np.ndarray],
+    limit: int,
+    label: str = "",
+    validate: bool = True,
+) -> MultFn:
+    """Completely multiplicative f(p^k) = at_primes(p) ** k, at_primes over int64 arrays."""
+    return MultFn.from_arrays(
+        lambda p, k: _cpow(np.asarray(at_primes(p), dtype=np.complex128), k),
+        limit,
+        label=label,
+        validate=validate,
+    )
 
 
 def character_fn(chi, limit: int) -> MultFn:
     """A Dirichlet character wrapped as a completely multiplicative MultFn."""
-    return make_multfn(lambda p, k: chi.value(p) ** k, limit, label=chi.serialize())
+    at = chi.residue_values()
+    return cm_from_arrays(lambda p: at[p % chi.modulus], limit, label=chi.serialize())
 
 
 def cm_multfn(prime_value: Callable[[int], complex], limit: int, label: str = "") -> MultFn:
-    """Completely multiplicative function from a value-at-primes rule."""
-    return make_multfn(lambda p, k: complex(prime_value(p)) ** k, limit, label=label)
+    """Completely multiplicative function from a value-at-primes rule.
+
+    prime_value is called once per distinct prime of each values_at call,
+    in ascending order.
+    """
+
+    def at_primes(ps: np.ndarray) -> np.ndarray:
+        return np.array([complex(prime_value(q)) for q in ps.tolist()], dtype=complex)
+
+    return cm_from_arrays(lambda p: _per_prime(p, at_primes), limit, label=label)
 
 
 def evaluate(f: MultFn, n: int, table: PrimeTable) -> complex:
@@ -161,11 +269,14 @@ def prime_powers(limit: int, table: PrimeTable) -> tuple[np.ndarray, np.ndarray,
 def prime_power_values(f: MultFn, limit: int, table: PrimeTable) -> np.ndarray:
     """f(p^k) for the prime powers of prime_powers(limit, table), in its order.
 
-    Calls f.pp_value exactly once per prime power, in ascending p^k order:
-    rules that draw random values lazily, in call order, depend on it.
+    One f.values_at call in ascending p^k order: an array rule is called
+    once per function, a scalar rule once per prime power, in that order.
+    Rules that draw random values lazily, in call order, depend on it, and
+    the derived kinds (inverse, companion_split, smooth_truncation) read
+    their f in the same order.
     """
     _pk, ps, ks = prime_powers(limit, table)
-    return np.array([f.pp_value(p, k) for p, k in zip(ps.tolist(), ks.tolist())], dtype=complex)
+    return f.values_at(ps, ks)
 
 
 def _cmul(a, b):
@@ -269,18 +380,42 @@ def delta_fn(limit: int) -> ArithFn:
 def inverse(f: MultFn, limit: int) -> MultFn:
     """Convolution inverse g: (f*g)(n) = [n=1], via the prime-power recursion.
 
-    g(p^k) = -sum_{j=1..k} f(p^j) g(p^{k-j}). No unit-disc validation: the
-    inverse of a class-C function is class-C, but other inputs may blow up.
+    g(p^k) = -sum_{j=1..k} f(p^j) g(p^{k-j}), with g(1) = 1, summed from 0 in
+    ascending j and run for all primes at once, one k at a time. The rule
+    reads f at every p^j, j up to the largest k asked at p, in ascending
+    p^j. No unit-disc validation: the inverse of a class-C function is
+    class-C, but other inputs may blow up.
     """
 
-    def grule(p: int, k: int) -> complex:
-        acc = 0j
-        for j in range(1, k + 1):
-            acc += f.pp_value(p, j) * (1 + 0j if j == k else g.pp_value(p, k - j))
-        return -acc
+    def grule(p: np.ndarray, k: np.ndarray) -> np.ndarray:
+        qs, at = np.unique(p, return_inverse=True)
+        top = np.zeros(len(qs), dtype=np.int64)
+        np.maximum.at(top, at, k)
+        # primes by descending top: those with top >= j are a prefix, of size n[j - 1]
+        order = np.argsort(-top, kind="stable")
+        qs, top = qs[order], top[order]
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        n = [int(np.count_nonzero(top >= j)) for j in range(1, int(top.max(initial=0)) + 1)]
+        start = np.concatenate([[0], np.cumsum(n)]).astype(np.int64)
+        # f at (qs[i], j) sits at start[j - 1] + i; it is read in ascending q^j
+        ep = np.concatenate([qs[:m] for m in n]) if n else qs
+        ek = np.repeat(np.arange(1, len(n) + 1), n)
+        up = np.argsort(ep**ek, kind="stable")
+        fv = np.empty(len(ep), dtype=np.complex128)
+        fv[up] = f.values_at(ep[up], ek[up])
+        fs = np.array([fv.real, fv.imag])
+        gs = np.empty_like(fs)
+        for kk, m in enumerate(n, start=1):
+            acc = np.zeros((2, m))
+            for j in range(1, kk + 1):
+                fj = fs[:, start[j - 1] : start[j - 1] + m]
+                other = (1.0, 0.0) if j == kk else gs[:, start[kk - j - 1] : start[kk - j - 1] + m]
+                acc = acc + _cmul(fj, other)
+            gs[:, start[kk - 1] : start[kk]] = -acc
+        return _pack(gs[:, start[k - 1] + rank[at]])
 
-    g = MultFn(grule, limit, label=f"inv({f.label})", validate=False)
-    return g
+    return MultFn.from_arrays(grule, limit, label=f"inv({f.label})", validate=False)
 
 
 @dataclass
@@ -337,14 +472,17 @@ def smooth_truncation(f: MultFn, y: float) -> MultFn:
     if y < 2:
         raise ParameterError(f"smoothness bound must be >= 2, got {y}")
 
-    def rule(p: int, k: int) -> complex:
-        return f.pp_value(p, k) if p <= y else 0j
+    def rule(p: np.ndarray, k: np.ndarray) -> np.ndarray:
+        out = np.zeros(len(p), dtype=np.complex128)
+        low = np.flatnonzero(p <= y)
+        out[low] = f.values_at(p[low], k[low])
+        return out
 
-    return MultFn(
+    return MultFn.from_arrays(
         rule,
         f.limit,
         label=f"{f.label}|smooth<={y:g}",
-        validate=False,  # inner values were already checked lazily
+        validate=False,  # f checks its own values
     )
 
 
@@ -354,8 +492,8 @@ def restrict_to_primes(f: MultFn, table: PrimeTable, limit: Optional[int] = None
     if lim > table.limit:
         raise OutOfRangeError(f"limit={lim} exceeds table limit {table.limit}")
     vals = np.zeros(lim + 1, dtype=np.complex128)
-    for p in table.primes[table.primes <= lim]:
-        vals[p] = f.pp_value(int(p), 1)
+    ps = table.primes[table.primes <= lim].astype(np.int64)
+    vals[ps] = f.values_at(ps, np.ones_like(ps))
     return ArithFn(values=vals, limit=lim, label=f"{f.label}|primes")
 
 
@@ -391,17 +529,26 @@ def companion_split(f: MultFn, limit: int) -> tuple[MultFn, MultFn]:
     correction g has g(p) = 0 and g(p^k) = f(p^k) - f(p) f(p^{k-1}) for
     k >= 2, so it is supported on powerful numbers and |g(p^k)| <= 2.
     """
-    f_star = MultFn(
-        lambda p, k: f.pp_value(p, 1) ** k,
+
+    def at_primes(ps: np.ndarray) -> np.ndarray:
+        return f.values_at(ps, np.ones_like(ps))
+
+    f_star = cm_from_arrays(
+        lambda p: _per_prime(p, at_primes),
         limit,
         label=f"{f.label}*cm",
         validate=False,
     )
 
-    def grule(p: int, k: int) -> complex:
-        if k == 1:
-            return 0j
-        return f.pp_value(p, k) - f.pp_value(p, 1) * f.pp_value(p, k - 1)
+    def grule(p: np.ndarray, k: np.ndarray) -> np.ndarray:
+        out = np.zeros(len(p), dtype=np.complex128)
+        hi = np.flatnonzero(k >= 2)
+        q, j = p[hi], k[hi]
+        fk = f.values_at(q, j)  # first, as f(p^k) is the first read of each p^k
+        f1, fprev = f.values_at(q, np.ones_like(j)), f.values_at(q, j - 1)
+        prod = _cmul((f1.real, f1.imag), (fprev.real, fprev.imag))
+        out.real[hi], out.imag[hi] = fk.real - prod[0], fk.imag - prod[1]
+        return out
 
-    g_powerful = MultFn(grule, limit, label=f"{f.label}|powerful", validate=False)
+    g_powerful = MultFn.from_arrays(grule, limit, label=f"{f.label}|powerful", validate=False)
     return f_star, g_powerful

@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 from bvlab.characters import primitive_value_matrix
+from bvlab.multfun import MultFn
 
 
 def trial_division(n):
@@ -112,3 +113,87 @@ def smooth_numbers(limit, y):
         if all(p <= y for p, _ in fs):
             out.append(n)
     return out
+
+
+# --- scalar prime-power rules ---------------------------------------------
+# Each library function kind as bvlab first wrote it: one Python rule call
+# per prime power, through MultFn's scalar path. The library's array rules
+# must give the same bits.
+
+
+def one_rule(p, k):
+    return 1.0
+
+
+def moebius_rule(p, k):
+    return -1.0 if k == 1 else 0.0
+
+
+def liouville_rule(p, k):
+    return float((-1) ** k)
+
+
+def powerful_rule(p, k):
+    return float(k >= 2)
+
+
+def character_rule(chi):
+    return lambda p, k: chi.value(p) ** k
+
+
+def cm_spec_rule(at, default):
+    """The "cm" spec kind: at maps primes to complex values."""
+    return lambda p, k: at.get(p, default) ** k
+
+
+def table_rule(path):
+    """The "table" spec kind, looked up in a dict; absent prime powers read as 0."""
+    with np.load(path) as data:
+        pps = data["prime_powers"].astype(np.int64)
+        values = data["values"].astype(np.complex128)
+    lookup = {int(pp): complex(v) for pp, v in zip(pps, values)}
+    return lambda p, k: lookup.get(p**k, 0j)
+
+
+def counterexample_rule(spec):
+    def at_prime(p):
+        if p <= spec.z or p > spec.y:
+            return 0.0
+        if p in spec.script_P:
+            return -1.0
+        return 1.0
+
+    return lambda p, k: at_prime(p) ** k
+
+
+def scalar_inverse(f, limit):
+    def grule(p, k):
+        acc = 0j
+        for j in range(1, k + 1):
+            acc += f.pp_value(p, j) * (1 + 0j if j == k else g.pp_value(p, k - j))
+        return -acc
+
+    g = MultFn(grule, limit, validate=False)
+    return g
+
+
+def scalar_companion_split(f, limit):
+    f_star = MultFn(lambda p, k: f.pp_value(p, 1) ** k, limit, validate=False)
+
+    def grule(p, k):
+        if k == 1:
+            return 0j
+        return f.pp_value(p, k) - f.pp_value(p, 1) * f.pp_value(p, k - 1)
+
+    return f_star, MultFn(grule, limit, validate=False)
+
+
+def scalar_smooth_truncation(f, y):
+    return MultFn(lambda p, k: f.pp_value(p, k) if p <= y else 0j, f.limit, validate=False)
+
+
+def scalar_restrict_to_primes(f, primes, limit):
+    vals = np.zeros(limit + 1, dtype=np.complex128)
+    for p in primes[primes <= limit]:
+        vals[p] = f.pp_value(int(p), 1)
+    return vals

@@ -306,11 +306,22 @@ MU = '{"kind":"builtin","name":"moebius"}'
         (["counterexample", "--x", "0", "--gamma", "2"], 3),
         (["counterexample", "--x", "100000", "--gamma", "2", "--Q", "0"], 3),
         (["counterexample", "--x", "100000", "--gamma", "2", "--Q", "-4"], 3),
+        # malformed tables: not 1-D, not integer, or a prime power listed twice: exit 3
+        (["bv-sum", "--f", '{"kind":"table","path":"t2d.npz"}', "--x", "100", "--Q", "3"], 3),
+        (["bv-sum", "--f", '{"kind":"table","path":"t0d.npz"}', "--x", "100", "--Q", "3"], 3),
+        (["bv-sum", "--f", '{"kind":"table","path":"v2d.npz"}', "--x", "100", "--Q", "3"], 3),
+        (["bv-sum", "--f", '{"kind":"table","path":"flt.npz"}', "--x", "100", "--Q", "3"], 3),
+        (["bv-sum", "--f", '{"kind":"table","path":"dup.npz"}', "--x", "100", "--Q", "3"], 3),
     ],
 )
 def test_bad_inputs_exit_without_traceback(tmp_path, capsys, monkeypatch, argv, code):
     monkeypatch.chdir(tmp_path)
     np.savez("nan.npz", prime_powers=np.array([2, 3]), values=np.array([complex("nan"), 0.5]))
+    np.savez("t2d.npz", prime_powers=np.array([[2, 3], [4, 5]]), values=np.full((2, 2), 0.5))
+    np.savez("t0d.npz", prime_powers=np.array(2), values=np.array(0.5))
+    np.savez("v2d.npz", prime_powers=np.array([2, 3]), values=np.array([[0.5], [0.5]]))
+    np.savez("flt.npz", prime_powers=np.array([2.0, 3.0]), values=np.array([0.5, 0.5]))
+    np.savez("dup.npz", prime_powers=np.array([2, 2, 3]), values=np.array([1, -1, 0.5]))
     (tmp_path / "nan_cm.json").write_text(
         json.dumps({"f": {"kind": "cm", "default": [float("nan"), 0]}})
     )
