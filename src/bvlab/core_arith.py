@@ -68,17 +68,17 @@ class FactoredInteger:
 def build_prime_table(limit: int) -> PrimeTable:
     """Sieve smallest prime factors for 2..limit.
 
-    Ascending-prime sweep: the first prime that marks an index is its
-    smallest prime factor, so each entry is written at most once.
+    Plain slice writes of p at p*p, p*p + p, ... for the primes p <=
+    sqrt(limit) (from the table of sqrt(limit)), largest first: the last
+    prime to mark a composite is its smallest prime factor.
     """
     if limit < 2:
         raise ParameterError(f"sieve limit must be >= 2, got {limit}")
+    root = math.isqrt(limit)
     spf = np.arange(limit + 1, dtype=np.uint32)
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == p:
-            seg = spf[p * p :: p]
-            unset = seg == np.arange(p * p, limit + 1, p, dtype=np.uint32)
-            seg[unset] = p
+    if root >= 2:
+        for p in build_prime_table(root).primes[::-1].tolist():
+            spf[p * p :: p] = p
     return PrimeTable(limit=limit, spf=spf)
 
 
@@ -149,11 +149,10 @@ def save_prime_table(table: PrimeTable, path) -> None:
 
 
 def load_prime_table(path) -> PrimeTable:
-    """Load a sieve cache, validating magic bytes, payload length and spf.
+    """Load a sieve cache, validating magic bytes, header and payload length.
 
-    For every n >= 2: 2 <= spf[n], n % spf[n] == 0, spf[spf[n]] == spf[n],
-    and spf[n // spf[n]] >= spf[n] where n // spf[n] > 1. A composite
-    recorded as its own spf passes these checks and is not caught.
+    The table is then rebuilt and compared with the payload entry by entry;
+    the first differing spf[n] is reported.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -170,18 +169,12 @@ def load_prime_table(path) -> PrimeTable:
         raise ParameterError(
             f"{path}: payload is {len(body)} bytes, expected {expected} for limit {limit}"
         )
-    spf = np.empty(limit + 1, dtype=np.uint32)
-    spf[0] = 0
-    spf[1] = 1
-    spf[2:] = np.frombuffer(body, dtype="<u4")
-    s, n = spf[2:], np.arange(2, limit + 1, dtype=spf.dtype)
-    bad = (s < 2) | (s > n)
-    if not bad.any():  # now spf[s] and spf[n // s] are in range
-        r = n // s
-        bad = (r * s != n) | (spf[s] != s) | ((r > 1) & (spf[r] < s))
-    if bad.any():
-        first = int(np.argmax(bad)) + 2
+    table = build_prime_table(int(limit))
+    stored = np.frombuffer(body, dtype="<u4")
+    bad = np.flatnonzero(stored != table.spf[2:])
+    if len(bad):
+        n = int(bad[0]) + 2
         raise ParameterError(
-            f"{path}: spf[{first}] = {int(spf[first])} is not its smallest prime factor"
+            f"{path}: spf[{n}] = {int(stored[n - 2])} is not its smallest prime factor"
         )
-    return PrimeTable(limit=int(limit), spf=spf)
+    return table

@@ -158,7 +158,7 @@ def range_extension_check(spec: CounterexampleSpec, table: PrimeTable) -> dict[i
 
 
 def script_P_indicator(spec: CounterexampleSpec, table: PrimeTable) -> ArithFn:
-    vals = np.zeros(spec.x + 1, dtype=np.complex128)
+    vals = np.zeros(spec.x + 1)
     vals[_script_P_array(spec)] = 1.0
     return ArithFn(values=vals, limit=spec.x, label="1_scriptP")
 

@@ -10,11 +10,13 @@ Numerical policy: bucket sums and twisted sums reuse the same masked
 arrays, so the plain path and the Xi = {1} path produce bit-identical
 results, which the suite checks. Only the O(m) reduction into buckets runs
 in float64, for real f and q >= 2: its rows are added one after another,
-which rounds the real parts exactly as the complex reduction does. The
-q-long bucket vector is widened to complex128 before anything reads it, so
-the character sums and the division by phi(q) stay complex. At q = 1 the
-reduction is one pairwise sum, whose blocks differ between float64 and
-complex128, so it runs in complex128.
+which rounds the real parts exactly as the complex reduction does. A
+float64 ArithFn is read in place, contiguously; a real complex128 one
+through its strided real parts. The q-long bucket vector is widened to
+complex128 before anything reads it, so the character sums and the
+division by phi(q) stay complex. At q = 1 the reduction is one pairwise
+sum, whose blocks differ between float64 and complex128, so it runs in
+complex128.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ _IMAG_TOL = 1e-9
 
 
 def bucket_values(f: ArithFn, m: int) -> np.ndarray:
-    """A view of f.values[0..m] for residue_buckets: the float64 real parts when f is real."""
+    """A view of f.values[0..m] for residue_buckets: float64 as it is, or a real f's real parts."""
     return f.values[: m + 1].real if f.is_real else f.values[: m + 1]
 
 
@@ -231,7 +233,7 @@ def bv_sum(
         raise ParameterError(f"Q must be >= 1, got {Q}")
     if Q > x:
         raise ParameterError(f"Q={Q} exceeds x={x}")
-    # every modulus reads the values, so one contiguous copy pays for itself
+    # every modulus reads the values, so one contiguous copy (none for float64) pays for itself
     values = np.ascontiguousarray(bucket_values(f, m))
     parts = chunked_map(lambda qs: _bv_rows_for(values, m, qs, xi), range(1, Q + 1), 64, threads)
     rows = [row for part in parts for row in part]

@@ -4,6 +4,7 @@ Base kinds:
   {"kind": "builtin", "name": "one" | "moebius" | "liouville"}
   {"kind": "character", "q": Q, "label": K}        (canonical label)
   {"kind": "cm", "primes": {"2": [re, im], ...}, "default": [re, im]}
+                                                   (keys must be primes)
   {"kind": "table", "path": "values.npz"}          (prime-power table)
 
 A table npz holds a 1-D integer array prime_powers and a 1-D array values
@@ -152,11 +153,13 @@ def parse_function_spec(spec, limit: int, table: PrimeTable):
                 p = int(key)
             except ValueError:
                 raise ParameterError(f"cm primes key {key!r} is not an integer")
+            if p < 2 or (p <= table.limit and not table.is_prime(p)):
+                raise ParameterError(f"cm primes key {key!r} is not a prime")
             at[p] = _as_complex(pair, f"cm primes[{key}]")
         default = (
             _as_complex(spec["default"], "cm default") if "default" in spec else 0j
         )
-        listed = sorted(p for p in at if 1 <= p <= limit)  # only these can be looked up
+        listed = sorted(p for p in at if p <= limit)  # only these can be looked up
         get = _lookup(
             np.array(listed, dtype=np.int64), np.array([at[p] for p in listed], complex), default
         )

@@ -13,9 +13,13 @@ arrays p, k -> complex128 f(p^k), called once per values_at call, so once
 per materialized function. A rule (p, k) -> f(p^k) on Python scalars, as a
 caller may pass to MultFn, is called once per prime power and memoized.
 
-An ArithFn is a dense complex value array for non-multiplicative objects
+An ArithFn is a dense value array for non-multiplicative objects
 (restrictions to primes, log twists, convolutions) and for feeding the
-discrepancy machinery, which wants whole arrays anyway.
+discrepancy machinery, which wants whole arrays anyway. Real functions are
+float64 from the moment they are built: to_arith sweeps in float64 when
+every prime-power value is real, delta_fn and the counterexample's
+script_P_indicator are float64, and log_twist keeps float64. Everything
+else is complex128.
 
 The log-derivative coefficients lambda_f live on prime powers and satisfy
 the triangular recursion  k*log(p)*f(p^k) = sum_{j=1..k} lambda_f(p^j)
@@ -48,7 +52,8 @@ class MultFn:
     instance; the memo is write-once per prime power (idempotent overwrites
     of identical values), so concurrent evaluation is safe.
     MultFn.from_arrays(rule, ...) takes an array rule, int64 arrays p, k ->
-    f(p^k) as complex128, evaluated anew on each values_at call.
+    f(p^k) as complex128, evaluated anew on each values_at call; pp_value
+    memoizes its one-entry calls in the same memo.
     """
 
     def __init__(
@@ -99,15 +104,16 @@ class MultFn:
         return v
 
     def pp_value(self, p: int, k: int) -> complex:
-        """f(p^k); a scalar rule's value is memoized and checked when validating."""
-        if self._array_rule is not None:
-            return complex(self.values_at(np.array([p], np.int64), np.array([k], np.int64))[0])
+        """f(p^k), memoized (an array rule runs on the one entry); checked when validating."""
         key = p**k
         v = self._pp.get(key)
         if v is None:
-            v = complex(self.rule(p, k))
-            if self.validate and not abs(v) <= 1 + _TOL:  # NaN fails too
-                raise _violation(p, k, v, self.label)
+            if self._array_rule is not None:
+                v = complex(self.values_at(np.array([p], np.int64), np.array([k], np.int64))[0])
+            else:
+                v = complex(self.rule(p, k))
+                if self.validate and not abs(v) <= 1 + _TOL:  # NaN fails too
+                    raise _violation(p, k, v, self.label)
             self._pp[key] = v
         return v
 
@@ -221,9 +227,10 @@ def evaluate(f: MultFn, n: int, table: PrimeTable) -> complex:
 
 @dataclass
 class ArithFn:
-    """Dense complex values for 0..limit (index 0 unused, kept at 0).
+    """Dense values for 0..limit (index 0 unused, kept at 0).
 
-    The array is treated as immutable after construction.
+    A float64 array is kept as float64, a real function; any other dtype
+    becomes complex128. The array is treated as immutable after construction.
     """
 
     values: np.ndarray
@@ -235,11 +242,12 @@ class ArithFn:
             raise ParameterError(
                 f"values must have length limit+1={self.limit + 1}, got {self.values.shape}"
             )
+        dtype = np.float64 if self.values.dtype == np.float64 else np.complex128
         # copy only to change the array: a caller's array is never written
-        if self.values.dtype != np.complex128 or self.values[0] != 0:
-            self.values = self.values.astype(np.complex128)
+        if self.values.dtype != dtype or self.values[0] != 0:
+            self.values = self.values.astype(dtype)
             self.values[0] = 0
-        self._is_real: Optional[bool] = None
+        self._is_real: Optional[bool] = True if dtype == np.float64 else None
 
     @property
     def is_real(self) -> bool:
@@ -297,18 +305,24 @@ def to_arith(f: MultFn, limit: int, table: PrimeTable) -> ArithFn:
     cofactor is at most n/2, so over the blocks [lo, min(2 lo, lo + _BLOCK))
     each block is one gather from earlier ones, with the operands and order
     of a scalar sweep over n: the values are those of Python complex math.
+
+    When every prime-power value has a zero imaginary part, the sweep runs
+    on one float64 array. Its values are the complex sweep's real parts up
+    to the sign of zeros: a*c where the complex product forms a*c - b*d,
+    b*d = +-0 (73,438 of Moebius's zeros at 10^7; none of Liouville's).
     """
     if limit > f.limit:
         raise OutOfRangeError(f"limit={limit} exceeds function limit {f.limit}")
     pks, ps, _ks = prime_powers(limit, table)
     pv = prime_power_values(f, limit, table)
+    real = not pv.imag.any()
     # pos[n]: index in pks of the spf-power part of n; nxt[i]: index of
     # pks[i] * ps[i], meaningful while that is <= limit
     pos = np.zeros(limit + 1, dtype=np.int32)
     pos[pks] = np.arange(len(pks), dtype=np.int32)
     nxt = np.searchsorted(pks, pks * ps).astype(np.int32)
-    vals = np.zeros(limit + 1, dtype=np.complex128)
-    re, im = vals.real, vals.imag
+    vals = np.zeros(limit + 1, dtype=np.float64 if real else np.complex128)
+    re, im = vals.real, None if real else vals.imag
     if limit >= 1:
         re[1] = 1.0
     spf = table.spf
@@ -323,7 +337,10 @@ def to_arith(f: MultFn, limit: int, table: PrimeTable) -> ArithFn:
         i[same] = nxt[pos[m[same]]]
         pos[lo:hi] = i
         rest = n // pks[i]
-        re[lo:hi], im[lo:hi] = _cmul((re[rest], im[rest]), (pv.real[i], pv.imag[i]))
+        if real:
+            re[lo:hi] = re[rest] * pv.real[i]
+        else:
+            re[lo:hi], im[lo:hi] = _cmul((re[rest], im[rest]), (pv.real[i], pv.imag[i]))
         lo = hi
     return ArithFn(values=vals, limit=limit, label=f.label)
 
@@ -372,7 +389,7 @@ def dirichlet_convolve(f: ArithFn, g: ArithFn, limit: int) -> ArithFn:
 
 def delta_fn(limit: int) -> ArithFn:
     """The convolution identity: 1 at n=1, else 0."""
-    v = np.zeros(limit + 1, dtype=np.complex128)
+    v = np.zeros(limit + 1)
     v[1] = 1
     return ArithFn(values=v, limit=limit, label="delta")
 
@@ -504,8 +521,10 @@ def log_twist(f: ArithFn, normalize_by: float) -> ArithFn:
     logs = np.zeros(f.limit + 1)
     if f.limit >= 1:
         logs[1:] = np.log(np.arange(1, f.limit + 1))
+    v = f.values * logs
+    # NumPy divides a complex array by a real as a product with 1 / real; float64 rounds alike
     return ArithFn(
-        values=f.values * logs / normalize_by,
+        values=v * (1.0 / normalize_by) if v.dtype == np.float64 else v / normalize_by,
         limit=f.limit,
         label=f"{f.label}*log/{normalize_by:g}",
     )

@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from bvlab.characters import primitive_value_matrix
-from bvlab.multfun import MultFn
+from bvlab.multfun import MultFn, prime_power_values, prime_powers
 
 
 def trial_division(n):
@@ -67,6 +67,39 @@ def copied_residue_buckets(values, m, q):
     buf = np.zeros(rows * q, dtype=np.complex128)
     buf[: m + 1] = values[: m + 1]
     return buf.reshape(rows, q).sum(axis=0)
+
+
+def complex_to_arith(f, limit, table):
+    """f(0..limit) as complex128, swept as bvlab computed it before real functions were float64.
+
+    f(n) = f(n / p^e) * f(p^e) with p^e the spf-power part of n, in blocks
+    [lo, min(2 lo, lo + 2^18)), each product formed as Python's complex *
+    forms it.
+    """
+    pks, ps, _ks = prime_powers(limit, table)
+    pv = prime_power_values(f, limit, table)
+    pos = np.zeros(limit + 1, dtype=np.int32)
+    pos[pks] = np.arange(len(pks), dtype=np.int32)
+    nxt = np.searchsorted(pks, pks * ps).astype(np.int32)
+    vals = np.zeros(limit + 1, dtype=np.complex128)
+    re, im = vals.real, vals.imag
+    if limit >= 1:
+        re[1] = 1.0
+    lo = 2
+    while lo <= limit:
+        hi = min(2 * lo, lo + (1 << 18), limit + 1)
+        n = np.arange(lo, hi)
+        p = table.spf[lo:hi].astype(np.int64)
+        m = n // p
+        i = pos[p]
+        same = m % p == 0
+        i[same] = nxt[pos[m[same]]]
+        pos[lo:hi] = i
+        rest = n // pks[i]
+        a, b, c, d = re[rest], im[rest], pv.real[i], pv.imag[i]
+        re[lo:hi], im[lo:hi] = a * c - b * d, a * d + b * c
+        lo = hi
+    return vals
 
 
 def one_pass_convolution(fv, gv, cut, limit):

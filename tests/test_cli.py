@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bvlab.cli import main
+from bvlab.core_arith import PrimeTable, build_prime_table, save_prime_table
 
 
 def run(capsys, *argv):
@@ -312,6 +313,15 @@ MU = '{"kind":"builtin","name":"moebius"}'
         (["bv-sum", "--f", '{"kind":"table","path":"v2d.npz"}', "--x", "100", "--Q", "3"], 3),
         (["bv-sum", "--f", '{"kind":"table","path":"flt.npz"}', "--x", "100", "--Q", "3"], 3),
         (["bv-sum", "--f", '{"kind":"table","path":"dup.npz"}', "--x", "100", "--Q", "3"], 3),
+        # a composite recorded as its own smallest prime factor: exit 3
+        (["delta", "--f", MU, "--x", "100", "--q", "3", "--a", "1", "--cache", "spf15.bin"], 3),
+        # cm keys that are not primes: exit 3
+        (["bv-sum", "--f", '{"kind":"cm","primes":{"4":[0.5,0]},"default":[1,0]}',
+          "--x", "1000", "--Q", "10"], 3),
+        (["bv-sum", "--f", '{"kind":"cm","primes":{"-3":[0.5,0]},"default":[1,0]}',
+          "--x", "1000", "--Q", "10"], 3),
+        (["bv-sum", "--f", '{"kind":"cm","primes":{"1":[0.5,0]},"default":[1,0]}',
+          "--x", "1000", "--Q", "10"], 3),
     ],
 )
 def test_bad_inputs_exit_without_traceback(tmp_path, capsys, monkeypatch, argv, code):
@@ -322,6 +332,9 @@ def test_bad_inputs_exit_without_traceback(tmp_path, capsys, monkeypatch, argv, 
     np.savez("v2d.npz", prime_powers=np.array([2, 3]), values=np.array([[0.5], [0.5]]))
     np.savez("flt.npz", prime_powers=np.array([2.0, 3.0]), values=np.array([0.5, 0.5]))
     np.savez("dup.npz", prime_powers=np.array([2, 2, 3]), values=np.array([1, -1, 0.5]))
+    spf = build_prime_table(100).spf.copy()
+    spf[15] = 15
+    save_prime_table(PrimeTable(limit=100, spf=spf), "spf15.bin")
     (tmp_path / "nan_cm.json").write_text(
         json.dumps({"f": {"kind": "cm", "default": [float("nan"), 0]}})
     )

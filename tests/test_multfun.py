@@ -365,7 +365,7 @@ def test_arithfn_leaves_the_callers_array_alone():
     assert ArithFn(values=w, limit=2).values is w  # nothing to change: no copy
     r = np.array([7.0, 1.0, 2.0])
     g = ArithFn(values=r, limit=2)
-    assert r[0] == 7 and g.values[0] == 0 and g.values.dtype == np.complex128
+    assert r[0] == 7 and g.values[0] == 0 and g.values.dtype == np.float64
 
 
 def test_flog_equals_lambda_star_f(table):
