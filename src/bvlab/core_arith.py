@@ -74,6 +74,8 @@ def build_prime_table(limit: int) -> PrimeTable:
     """
     if limit < 2:
         raise ParameterError(f"sieve limit must be >= 2, got {limit}")
+    if limit > 2**32 - 1:  # spf is uint32, and BVLAB1 stores <u4
+        raise ParameterError(f"sieve limit must be <= 2^32 - 1, got {limit}")
     root = math.isqrt(limit)
     spf = np.arange(limit + 1, dtype=np.uint32)
     if root >= 2:

@@ -3,8 +3,9 @@
 delta(f, x; q, a) is the progression sum minus the coprime average; the
 Xi-corrected variant subtracts the projection onto the characters mod q
 induced by a set Xi of primitive characters, rather than just the principal
-contribution. Everything is computed from per-residue bucket sums, one pass
-over n <= x per modulus, so maximizing over residues costs O(x + phi(q)).
+contribution. Everything is computed from per-residue bucket sums, so
+maximizing over residues costs O(x + phi(q)); bv_sum reads n <= x once per
+block of 64 moduli.
 
 Numerical policy: bucket sums and twisted sums reuse the same masked
 arrays, so the plain path and the Xi = {1} path produce bit-identical
@@ -17,6 +18,17 @@ complex128 before anything reads it, so the character sums and the
 division by phi(q) stay complex. At q = 1 the reduction is one pairwise
 sum, whose blocks differ between float64 and complex128, so it runs in
 complex128.
+
+A block of moduli shares one sweep over the values in _SLICE_BYTES slices,
+each copied once into a work buffer. Every q >= 2 of the block reduces the
+full rows that start in the slice from a seed row: its running bucket
+vector (zeros in the first slice), written into the buffer just before
+those rows and restored from the values afterwards. numpy's axis-0
+reduction starts from +0.0 and adds rows in order, and a running sum that
+starts at +0.0 is never -0.0, so 0.0 + seed is the seed bit for bit and
+each bucket is still summed row after row from row 0: the slicing changes
+no bit. q = 1 keeps its one pairwise sum. One modulus, or one slice
+covering 0..m, reduces straight from the values in one pass.
 """
 
 from __future__ import annotations
@@ -47,21 +59,58 @@ def bucket_values(f: ArithFn, m: int) -> np.ndarray:
     return f.values[: m + 1].real if f.is_real else f.values[: m + 1]
 
 
-def residue_buckets(values: np.ndarray, m: int, q: int) -> np.ndarray:
-    """b[r] = sum of values[n] over 0 <= n <= m with n = r (mod q), as complex128.
+# Slice length of one sweep in residue_buckets: half of a 2 MB per-core L2,
+# so the slice stays resident while every modulus of a block reduces it.
+# Shorter slices lose at 2 threads to GIL handoffs between many short reduces.
+_SLICE_BYTES = 1 << 20
 
-    The full rows of q values are reduced as a view of `values`; the partial
-    last row, padded with zeros to q entries, is added after them. Float64
-    `values` (bucket_values of a real f) are reduced in float64, except at
-    q = 1; see the numerical policy above.
-    """
+
+def _full_rows_sum(values: np.ndarray, m: int, q: int) -> np.ndarray:
     if q == 1:
         values = values[: m + 1].astype(np.complex128, copy=False)
     rows = (m + 1) // q
-    last = np.zeros(q, dtype=values.dtype)
-    last[: m + 1 - rows * q] = values[rows * q : m + 1]
-    b = values[: rows * q].reshape(rows, q).sum(axis=0) + last
-    return b.astype(np.complex128, copy=False)
+    return values[: rows * q].reshape(rows, q).sum(axis=0)
+
+
+def residue_buckets(values: np.ndarray, m: int, qs: Sequence[int]) -> list[np.ndarray]:
+    """[b_q for q in qs]: b_q[r] = sum of values[n], 0 <= n <= m, n = r (mod q), as complex128.
+
+    Each b_q sums the full rows of q values in order from row 0, then adds
+    the partial last row, padded with zeros to q entries. Float64 `values`
+    (bucket_values of a real f) are reduced in float64, except at q = 1.
+    Several moduli share one sweep over `values` in slices; see the
+    numerical policy above.
+    """
+    top = max(qs)
+    step = max(_SLICE_BYTES // values.itemsize, 4 * top)
+    sweep = len(qs) > 1 and step <= m
+    sums = [
+        np.zeros(q, values.dtype) if sweep and q > 1 else _full_rows_sum(values, m, q)
+        for q in qs
+    ]
+    if sweep:
+        buf = np.empty(step + 2 * top, dtype=values.dtype)  # value n at n - s + top
+        for s in range(0, m + 1, step):
+            e = min(s + step, m + 1)
+            lo, hi = max(s - top, 0), min(e + top, m + 1)
+            buf[lo - s + top : hi - s + top] = values[lo:hi]
+            for i, q in enumerate(qs):
+                first = -(-s // q) * q  # the full rows starting in [s, e)
+                k = -(-(min(e, (m + 1) // q * q) - first) // q)
+                if q == 1 or k <= 0:
+                    continue
+                j = first - s + top - q  # the seed row, just before them
+                buf[j : j + q] = sums[i]
+                sums[i] = buf[j : j + (k + 1) * q].reshape(k + 1, q).sum(axis=0)
+                if s:
+                    buf[j : j + q] = values[first - q : first]
+    out = []
+    for q, b in zip(qs, sums):
+        rows = (m + 1) // q
+        last = np.zeros(q, dtype=values.dtype)
+        last[: m + 1 - rows * q] = values[rows * q : m + 1]
+        out.append((b + last).astype(np.complex128, copy=False))
+    return out
 
 
 def chunked_map(fn, items: Sequence, size: int, threads: int) -> list:
@@ -118,7 +167,7 @@ def twisted_sum(f: ArithFn, x: float, chi: DirichletCharacter) -> complex:
     if m > f.limit:
         raise OutOfRangeError(f"x={x} exceeds function limit {f.limit}")
     q = chi.modulus
-    b = residue_buckets(bucket_values(f, m), m, q)
+    b = residue_buckets(bucket_values(f, m), m, (q,))[0]
     rs = _coprime_residues(q)
     cv = chi.residue_values()
     return complex(np.sum(np.conj(cv[rs]) * b[rs]))
@@ -127,7 +176,7 @@ def twisted_sum(f: ArithFn, x: float, chi: DirichletCharacter) -> complex:
 def delta(f: ArithFn, x: float, q: int, a: int, table=None) -> DiscrepancyReport:
     """Plain discrepancy: progression sum minus coprime average."""
     m = _check_args(f, x, q, a)
-    b = residue_buckets(bucket_values(f, m), m, q)
+    b = residue_buckets(bucket_values(f, m), m, (q,))[0]
     rs = _coprime_residues(q)
     prog = complex(b[a % q])
     cop = complex(np.sum(b[rs]))
@@ -154,7 +203,7 @@ def delta_xi(
 ) -> DiscrepancyReport:
     """Xi-corrected discrepancy: subtract (1/phi) sum_{chi in Xi_q} chi(a) S_f(x, chi)."""
     m = _check_args(f, x, q, a)
-    b = residue_buckets(bucket_values(f, m), m, q)
+    b = residue_buckets(bucket_values(f, m), m, (q,))[0]
     rs = _coprime_residues(q)
     phi = len(rs)
     prog = complex(b[a % q])
@@ -193,8 +242,7 @@ def _bv_rows_for(
     values: np.ndarray, m: int, qs: Sequence[int], xi: Optional[CharacterSet]
 ) -> list[tuple[int, int, float]]:
     rows = []
-    for q in qs:
-        b = residue_buckets(values, m, q)
+    for q, b in zip(qs, residue_buckets(values, m, qs)):
         rs = _coprime_residues(q)
         phi = len(rs)
         if xi is None:

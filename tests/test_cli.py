@@ -322,6 +322,11 @@ MU = '{"kind":"builtin","name":"moebius"}'
           "--x", "1000", "--Q", "10"], 3),
         (["bv-sum", "--f", '{"kind":"cm","primes":{"1":[0.5,0]},"default":[1,0]}',
           "--x", "1000", "--Q", "10"], 3),
+        # sieve limits above 2^32 - 1, and above 2^63 so a regression cannot allocate: exit 3
+        (["bv-sum", "--f", MU, "--x", "1e30", "--Q", "10"], 3),
+        (["delta", "--f", MU, "--x", "1e30", "--q", "3", "--a", "1"], 3),
+        (["lambda-check", "--f", MU, "--limit", str(10**30)], 3),
+        (["sieve-cache", "--limit", str(10**20)], 3),
     ],
 )
 def test_bad_inputs_exit_without_traceback(tmp_path, capsys, monkeypatch, argv, code):

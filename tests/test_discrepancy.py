@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bvlab import InvariantViolationError, ParameterError, discrepancy
 from bvlab.characters import (
@@ -44,7 +46,7 @@ def dense(f, limit, table):
 
 def test_residue_buckets_small(table):
     o = dense(one(20), 20, table)
-    b = residue_buckets(o.values, 10, 3)
+    b = residue_buckets(o.values, 10, (3,))[0]
     assert list(b.real) == [3, 4, 3]  # {3,6,9}, {1,4,7,10}, {2,5,8}
 
 
@@ -190,7 +192,7 @@ def test_reconstruction_invariant(table):
     for f in seeded_family(41, 3, 1000, kind="class-c"):
         fd = dense(f, 1000, table)
         for q in (3, 8, 15, 50):
-            b = residue_buckets(fd.values, 1000, q)
+            b = residue_buckets(fd.values, 1000, (q,))[0]
             rs = [r for r in range(q) if math.gcd(r, q) == 1]
             total = sum(b[r] for r in rs)
             cop = sum(fd.values[n] for n in range(1, 1001) if math.gcd(n, q) == 1)
@@ -297,10 +299,17 @@ def random_table(kind, limit, seed=2):
 def with_copied_kernel(monkeypatch, compute):
     """compute() as it is, then again with the copied complex128 kernel of oracles.py."""
     got = compute()
+    calls = []
+
+    def copied(v, m, qs):
+        calls.append(m)
+        return [copied_residue_buckets(v, m, q) for q in qs]
+
     with monkeypatch.context() as mp:
         mp.setattr(discrepancy, "bucket_values", lambda f, m: f.values[: m + 1])
-        mp.setattr(discrepancy, "residue_buckets", copied_residue_buckets)
+        mp.setattr(discrepancy, "residue_buckets", copied)
         want = compute()
+    assert calls
     return got, want
 
 
@@ -310,15 +319,38 @@ XI = CharacterSet(members=(enumerate_characters(1)[0], enumerate_characters(3)[1
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
 def test_residue_buckets_match_copied_kernel(kind):
-    f = random_table(kind, 3000)
-    for m in (3000, 2999, 1234):
+    # at m = 4 * 10^5 one call sweeps >= 3 slices of float64 and >= 6 of complex128
+    f = random_table(kind, 400000)
+    for m in (3000, 2999, 1234, 400000, 399999):
         view = bucket_values(f, m)
         assert view.dtype == (np.float64 if kind == "real" else np.complex128)
-        for q in [*range(1, 130), 997, m - 1, m, m + 1, m + 40]:
-            want = copied_residue_buckets(f.values, m, q).tobytes()
+        divisors = [q for q in range(130, 10000) if (m + 1) % q == 0]
+        small = sorted({*range(1, 130), *range(480, 544), 997, *divisors})
+        for qs in (small, [m - 1, m, m + 1, m + 40]):
+            want = [copied_residue_buckets(f.values, m, q).tobytes() for q in qs]
             for values in (view, np.ascontiguousarray(view), f.values):
-                b = residue_buckets(values, m, q)
-                assert b.dtype == np.complex128 and b.tobytes() == want, (m, q)
+                got = residue_buckets(values, m, qs)
+                for q, b, w in zip(qs, got, want):
+                    assert b.dtype == np.complex128 and b.tobytes() == w, (m, q)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 600000) | st.integers(65536, 600000),  # the latter: several slices
+    kind=st.sampled_from(["real", "complex"]),
+    data=st.data(),
+)
+def test_residue_buckets_property(seed, m, kind, data):
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(-1, 1, m + 1)
+    if kind == "complex":
+        values = values * np.exp(2j * np.pi * rng.random(m + 1))
+    values[rng.integers(0, m + 1, 8)] = -0.0
+    top = data.draw(st.integers(1, m + 40) | st.integers(1, min(m + 40, 4096)), label="top")
+    qs = sorted(data.draw(st.sets(st.integers(1, top), min_size=1, max_size=64), label="qs"))
+    for q, b in zip(qs, residue_buckets(values, m, qs)):
+        assert b.tobytes() == copied_residue_buckets(values, m, q).tobytes(), q
 
 
 @pytest.mark.parametrize(
@@ -330,10 +362,12 @@ def test_residue_buckets_match_copied_kernel(kind):
         ("complex", 3000, 300, XI),
         ("real", 2000.5, 2000, None),  # Q = floor(x): the longest partial rows
         ("complex", 2000.5, 2000, XI),
+        ("real", 400000, 300, None),  # several slices per q-block
+        ("complex", 400000, 300, XI),
     ],
 )
 def test_bv_sum_matches_copied_kernel(monkeypatch, table, kind, x, Q, xi):
-    f = random_table(kind, 3000)
+    f = random_table(kind, max(3000, int(x)))
     got, want = with_copied_kernel(monkeypatch, lambda: bv_sum(f, x, Q, xi, table, threads=2))
     assert repr(got) == repr(want)  # repr round-trips every float
 

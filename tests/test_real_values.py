@@ -122,8 +122,8 @@ def test_delta_reports_match_the_complex_sweep(table, make):
     old = ArithFn(values=complex_to_arith(f, 200, table), limit=200, label=f.label)
     for x in range(2, 201):
         for q in range(1, 61):
-            b_new = residue_buckets(bucket_values(new, x), x, q)
-            b_old = residue_buckets(bucket_values(old, x), x, q)
+            b_new = residue_buckets(bucket_values(new, x), x, (q,))[0]
+            b_old = residue_buckets(bucket_values(old, x), x, (q,))[0]
             assert b_new.tobytes() == b_old.tobytes(), (x, q)
             if x > 40:
                 continue
