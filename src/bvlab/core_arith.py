@@ -65,22 +65,36 @@ class FactoredInteger:
     factors: tuple[tuple[int, int], ...]
 
 
+# Entries of spf sieved at a time: 2^18 uint32 entries, 1 MB, half of a
+# 2 MB per-core L2, so a segment stays in cache while every prime up to
+# sqrt(limit) marks it (one pass over the whole table per prime is bound by
+# memory at 10^7).
+_SIEVE_SEGMENT = 1 << 18
+
+
 def build_prime_table(limit: int) -> PrimeTable:
     """Sieve smallest prime factors for 2..limit.
 
-    Plain slice writes of p at p*p, p*p + p, ... for the primes p <=
-    sqrt(limit) (from the table of sqrt(limit)), largest first: the last
-    prime to mark a composite is its smallest prime factor.
+    In segments of _SIEVE_SEGMENT entries, each first set to n at n: slice
+    writes of p from max(p*p, the first multiple of p in the segment), for
+    the primes p <= sqrt(limit) (from the table of sqrt(limit)), largest
+    first. The last prime to mark a composite is its smallest prime factor.
     """
     if limit < 2:
         raise ParameterError(f"sieve limit must be >= 2, got {limit}")
     if limit > 2**32 - 1:  # spf is uint32, and BVLAB1 stores <u4
         raise ParameterError(f"sieve limit must be <= 2^32 - 1, got {limit}")
     root = math.isqrt(limit)
-    spf = np.arange(limit + 1, dtype=np.uint32)
-    if root >= 2:
-        for p in build_prime_table(root).primes[::-1].tolist():
-            spf[p * p :: p] = p
+    primes = build_prime_table(root).primes[::-1].tolist() if root >= 2 else []
+    spf = np.empty(limit + 1, dtype=np.uint32)
+    for lo in range(0, limit + 1, _SIEVE_SEGMENT):
+        hi = min(lo + _SIEVE_SEGMENT, limit + 1)
+        seg = spf[lo:hi]
+        seg[:] = np.arange(lo, hi, dtype=np.uint32)
+        for p in primes:
+            start = max(p * p, -(-lo // p) * p)
+            if start < hi:
+                seg[start - lo :: p] = p
     return PrimeTable(limit=limit, spf=spf)
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_arith import PrimeTable, euler_phi, factorize
-from .discrepancy import delta
+from .discrepancy import plain_delta, residue_buckets, small_integers
 from .errors import InvariantViolationError, OutOfRangeError, ParameterError
 from .multfun import ArithFn, MultFn, evaluate, to_arith
 
@@ -180,18 +180,23 @@ class LowerBoundReport:
 
 
 def lower_bound_report(spec: CounterexampleSpec, table: PrimeTable) -> LowerBoundReport:
+    """The rows and sums of LowerBoundReport.
+
+    Delta(1_P, x; q, 1) is delta's arithmetic on the residue buckets of the
+    indicator, formed for every prime q in (Q, 2Q] by one residue_buckets
+    call on its int32 copy.
+    """
     ind = script_P_indicator(spec, table)
     logx = math.log(spec.x)
     ps = table.primes_in(spec.y / 2, spec.y)
+    qs = [int(q) for q in table.primes_in(spec.Q, 2 * spec.Q)]
     rows = []
     S = 0.0
-    for q in table.primes_in(spec.Q, 2 * spec.Q):
-        q = int(q)
-        rep = delta(ind, spec.x, q, 1, table)
+    for q, b in zip(qs, residue_buckets(small_integers(ind.values), spec.x, qs)):
+        d = abs(plain_delta(b, q, 1)[2])
         phi_q = euler_phi(q, table)
         pi_diff = int(np.count_nonzero(ps % q == 1))
         script_term = len(spec.script_P) / phi_q
-        d = abs(rep.delta)
         # the two expressions for the discrepancy must agree exactly
         alt = abs(pi_diff - script_term)
         if d != alt:

@@ -29,6 +29,21 @@ starts at +0.0 is never -0.0, so 0.0 + seed is the seed bit for bit and
 each bucket is still summed row after row from row 0: the slicing changes
 no bit. q = 1 keeps its one pairwise sum. One modulus, or one slice
 covering 0..m, reduces straight from the values in one pass.
+
+Integer path: when every value is an integer of size <= _INT_BOUND (Moebius,
+Liouville, the counterexample and its indicator), small_integers gives an
+int32 copy, and bv_sum and the counterexample's lower-bound sum hand that
+to residue_buckets. Every partial sum, in any order, is then an integer of
+size <= 2^52, so each float64 addition of the float path above is exact:
+its bucket is that integer, and +0.0 when it is 0, -0.0 inputs included.
+The integer path reaches the same integer in any order: each slice reduces
+its rows of q * ceil(_WIDE / q) values into int32 (at most 1025 rows, so
+below 2^31), adds them into an int64 running row, folds that row to q
+entries and converts them to complex128, whose real part is +0.0 for 0.
+Wide rows take the per-row overhead off small moduli. The bits are the
+float path's.
+delta, delta_xi and twisted_sum read one modulus, for which the copy would
+cost as much as the float pass, so they keep it.
 """
 
 from __future__ import annotations
@@ -72,6 +87,53 @@ def _full_rows_sum(values: np.ndarray, m: int, q: int) -> np.ndarray:
     return values[: rows * q].reshape(rows, q).sum(axis=0)
 
 
+# Largest |f(n)| that small_integers passes to the integer path. Any
+# partial sum of at most 2^32 such values, in any order, is an integer of
+# size <= 2^20 * 2^32 = 2^52, so every float64 addition of the float path
+# is exact and gives that integer, +0.0 for 0. An int32 slice accumulator
+# adds at most 2^18 / _WIDE + 1 = 1025 rows: |sum| < 1025 * 2^20 < 2^31.
+_INT_BOUND = 1 << 20
+
+# Row length of the integer path: q * ceil(_WIDE / q), a multiple of q, so
+# a small modulus reduces a few long rows instead of many q-long ones.
+_WIDE = 256
+
+
+def small_integers(values: np.ndarray) -> Optional[np.ndarray]:
+    """An int32 copy of float64 `values` when each is an integer of size <= _INT_BOUND, else None.
+
+    -0.0 passes as 0; NaN, +-inf and non-integers fail the comparison.
+    """
+    if values.dtype != np.float64:
+        return None
+    with np.errstate(invalid="ignore"):
+        ints = values.astype(np.int32)
+    if not np.array_equal(ints, values) or ints.min() < -_INT_BOUND or ints.max() > _INT_BOUND:
+        return None
+    return ints
+
+
+def _integer_buckets(values: np.ndarray, m: int, qs: Sequence[int]) -> list[np.ndarray]:
+    step = _SLICE_BYTES // values.itemsize
+    sums = [np.zeros(q * -(-_WIDE // q), dtype=np.int64) for q in qs]
+    for s in range(0, m + 1, step):
+        e = min(s + step, m + 1)
+        for acc in sums:
+            L = len(acc)
+            first = -(-s // L) * L  # the full wide rows starting in [s, e)
+            k = -(-(min(e, (m + 1) // L * L) - first) // L)
+            if k > 0:
+                rows = values[first : first + k * L].reshape(k, L)
+                acc += rows.sum(axis=0, dtype=np.int32)
+    out = []
+    for q, acc in zip(qs, sums):
+        L = len(acc)
+        tail = (m + 1) // L * L
+        acc[: m + 1 - tail] += values[tail : m + 1]
+        out.append(acc.reshape(L // q, q).sum(axis=0).astype(np.complex128))
+    return out
+
+
 def residue_buckets(values: np.ndarray, m: int, qs: Sequence[int]) -> list[np.ndarray]:
     """[b_q for q in qs]: b_q[r] = sum of values[n], 0 <= n <= m, n = r (mod q), as complex128.
 
@@ -79,8 +141,12 @@ def residue_buckets(values: np.ndarray, m: int, qs: Sequence[int]) -> list[np.nd
     the partial last row, padded with zeros to q entries. Float64 `values`
     (bucket_values of a real f) are reduced in float64, except at q = 1.
     Several moduli share one sweep over `values` in slices; see the
-    numerical policy above.
+    numerical policy above. Int32 `values` (small_integers of float64 ones)
+    are summed exactly in wide rows, with the same bits as their float64
+    originals.
     """
+    if values.dtype == np.int32:
+        return _integer_buckets(values, m, qs)
     top = max(qs)
     step = max(_SLICE_BYTES // values.itemsize, 4 * top)
     sweep = len(qs) > 1 and step <= m
@@ -173,14 +239,18 @@ def twisted_sum(f: ArithFn, x: float, chi: DirichletCharacter) -> complex:
     return complex(np.sum(np.conj(cv[rs]) * b[rs]))
 
 
-def delta(f: ArithFn, x: float, q: int, a: int, table=None) -> DiscrepancyReport:
-    """Plain discrepancy: progression sum minus coprime average."""
-    m = _check_args(f, x, q, a)
-    b = residue_buckets(bucket_values(f, m), m, (q,))[0]
+def plain_delta(b: np.ndarray, q: int, a: int) -> tuple[complex, complex, complex]:
+    """(progression sum, coprime sum, delta) of residue a from the buckets b mod q."""
     rs = _coprime_residues(q)
     prog = complex(b[a % q])
     cop = complex(np.sum(b[rs]))
-    d = prog - cop / len(rs)
+    return prog, cop, prog - cop / len(rs)
+
+
+def delta(f: ArithFn, x: float, q: int, a: int, table=None) -> DiscrepancyReport:
+    """Plain discrepancy: progression sum minus coprime average."""
+    m = _check_args(f, x, q, a)
+    prog, cop, d = plain_delta(residue_buckets(bucket_values(f, m), m, (q,))[0], q, a)
     if f.is_real and abs(d.imag) > _IMAG_TOL:
         raise InvariantViolationError(
             f"real-valued input produced delta with imaginary part {d.imag}"
@@ -281,8 +351,11 @@ def bv_sum(
         raise ParameterError(f"Q must be >= 1, got {Q}")
     if Q > x:
         raise ParameterError(f"Q={Q} exceeds x={x}")
-    # every modulus reads the values, so one contiguous copy (none for float64) pays for itself
-    values = np.ascontiguousarray(bucket_values(f, m))
+    # every modulus reads the values, so one contiguous copy (none for float64)
+    # pays for itself, and so does an int32 copy of integer values
+    values = bucket_values(f, m)
+    ints = small_integers(values)
+    values = np.ascontiguousarray(values) if ints is None else ints
     parts = chunked_map(lambda qs: _bv_rows_for(values, m, qs, xi), range(1, Q + 1), 64, threads)
     rows = [row for part in parts for row in part]
     total = 0.0

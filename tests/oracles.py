@@ -57,6 +57,18 @@ def brute_delta(values, x, q, a):
     return prog - cop / phi_naive(q)
 
 
+def plain_spf(limit):
+    """Smallest prime factors of 0..limit, one pass over the table per prime, as bvlab sieved before segments.
+
+    spf starts as n at n; p is written at p*p, p*p + p, ... for the primes
+    p <= sqrt(limit) (found by trial division), largest first.
+    """
+    spf = np.arange(limit + 1, dtype=np.uint32)
+    for p in reversed([p for p in range(2, math.isqrt(limit) + 1) if is_prime_naive(p)]):
+        spf[p * p :: p] = p
+    return spf
+
+
 def copied_residue_buckets(values, m, q):
     """Residue bucket sums as bvlab first computed them, to compare bit for bit.
 

@@ -16,7 +16,8 @@ from bvlab import (
     smoothness,
     von_mangoldt,
 )
-from oracles import is_prime_naive, phi_naive, trial_division
+from bvlab.cli import main
+from oracles import is_prime_naive, phi_naive, plain_spf, trial_division
 
 
 def test_spf_examples_small():
@@ -163,3 +164,26 @@ def test_cache_validates_spf(tmp_path, table_1e4, wrong):
     path.write_bytes(bytes(blob))
     with pytest.raises(ParameterError, match=r"spf\[12\]"):
         load_prime_table(path)
+
+
+# build_prime_table sieves 2^18 entries at a time
+@pytest.mark.parametrize("limit", [2**18 - 1, 2**18, 2**18 + 1, 3 * 2**18 + 5, 10**6 + 7])
+def test_spf_across_segment_boundaries(limit):
+    spf = build_prime_table(limit).spf
+    assert spf.dtype == np.uint32
+    assert np.array_equal(spf, plain_spf(limit))
+
+
+def test_cache_names_a_wrong_spf_in_the_second_segment(tmp_path, capsys):
+    limit, n = 3 * 2**18 + 5, 2**18 + 2  # n = 2 * 3 * 43691
+    path = tmp_path / "corrupt.bin"
+    save_prime_table(build_prime_table(limit), path)
+    blob = bytearray(path.read_bytes())
+    blob[14 + 4 * (n - 2) : 14 + 4 * (n - 1)] = (3).to_bytes(4, "little")
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ParameterError, match=rf"spf\[{n}\] = 3 "):
+        load_prime_table(path)
+    argv = ["delta", "--cache", str(path), "--f", '{"kind":"builtin","name":"moebius"}',
+            "--x", "100", "--q", "7", "--a", "1", "--out", str(tmp_path / "d.json")]
+    assert main(argv) == 3
+    assert f"spf[{n}] = 3 " in capsys.readouterr().err

@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from bvlab import smoothness
+from bvlab import euler_phi, smoothness
 from bvlab.counterexample import (
     CounterexampleSpec,
     build_counterexample,
@@ -13,7 +14,9 @@ from bvlab.counterexample import (
     pointwise_identity_check,
     primes_with_divisor_in,
     range_extension_check,
+    script_P_indicator,
 )
+from bvlab.discrepancy import delta
 from bvlab.multfun import class_c_check, evaluate, to_arith
 
 
@@ -119,6 +122,22 @@ def test_lower_bound_report(table_1e5):
     for q, d, phi_q, pi_diff, script_term in rep.rows:
         assert table_1e5.is_prime(q)
         assert d == abs(pi_diff - script_term)
+
+
+def test_lower_bound_rows_match_per_modulus_delta(table_1e5):
+    # the rows as they were formed with one delta call per prime q
+    x = 10**5
+    spec = spec_for(x, 2.0, table_1e5)
+    ind = script_P_indicator(spec, table_1e5)
+    ps = table_1e5.primes_in(spec.y / 2, spec.y)
+    want = []
+    for q in table_1e5.primes_in(spec.Q, 2 * spec.Q):
+        q = int(q)
+        d = abs(delta(ind, x, q, 1, table_1e5).delta)
+        phi_q = euler_phi(q, table_1e5)
+        want.append((q, d, phi_q, int(np.count_nonzero(ps % q == 1)), len(spec.script_P) / phi_q))
+    assert len(want) > 10
+    assert repr(lower_bound_report(spec, table_1e5).rows) == repr(want)
 
 
 def test_lower_bound_empty_script_P(table_1e4):

@@ -21,9 +21,11 @@ from bvlab.discrepancy import (
     large_sieve_check,
     partial_summation_check,
     residue_buckets,
+    small_integers,
     sw_profile,
     twisted_sum,
 )
+from bvlab.core_arith import build_prime_table
 from bvlab.multfun import ArithFn, character_fn, moebius, one, restrict_to_primes, to_arith
 from families import seeded_family
 from oracles import (
@@ -288,7 +290,12 @@ def test_imaginary_part_guard(table):
 
 
 def random_table(kind, limit, seed=2):
-    """Seeded non-integer values on 1..limit: real ones, or points of the unit disc."""
+    """Seeded non-integer values on 1..limit: real ones, or points of the unit disc.
+
+    kind "moebius" is Moebius as to_arith builds it instead, with its -0.0 entries.
+    """
+    if kind == "moebius":
+        return to_arith(moebius(limit), limit, build_prime_table(limit))
     rng = np.random.default_rng(seed)
     vals = rng.uniform(-1, 1, limit + 1).astype(np.complex128)
     if kind == "complex":
@@ -297,7 +304,11 @@ def random_table(kind, limit, seed=2):
 
 
 def with_copied_kernel(monkeypatch, compute):
-    """compute() as it is, then again with the copied complex128 kernel of oracles.py."""
+    """compute() as it is, then again with the copied complex128 kernel of oracles.py.
+
+    The second run also turns off the integer path, so that the copied
+    kernel sums the float64 values.
+    """
     got = compute()
     calls = []
 
@@ -308,6 +319,7 @@ def with_copied_kernel(monkeypatch, compute):
     with monkeypatch.context() as mp:
         mp.setattr(discrepancy, "bucket_values", lambda f, m: f.values[: m + 1])
         mp.setattr(discrepancy, "residue_buckets", copied)
+        mp.setattr(discrepancy, "small_integers", lambda v: None)
         want = compute()
     assert calls
     return got, want
@@ -353,6 +365,81 @@ def test_residue_buckets_property(seed, m, kind, data):
         assert b.tobytes() == copied_residue_buckets(values, m, q).tobytes(), q
 
 
+B = discrepancy._INT_BOUND
+
+
+def integer_tables(limit):
+    """Integer float64 values on 0..limit: Moebius as to_arith builds it (with
+    its -0.0 entries), and seeded integers in [-B, B] whose class 3 mod 7 is
+    all -0.0 and whose class 5 mod 7 sums to 0."""
+    mu = random_table("moebius", limit).values
+    rng = np.random.default_rng(7)
+    v = rng.integers(-B, B + 1, limit + 1).astype(np.float64)
+    v[3::7] = -0.0
+    cls = v[5::7]
+    pairs = rng.integers(-B, B + 1, len(cls) // 2)
+    cls[: 2 * len(pairs)] = np.stack([pairs, -pairs], axis=1).ravel()
+    cls[2 * len(pairs) :] = 0
+    assert np.count_nonzero((mu == 0) & np.signbit(mu)) > 0
+    assert cls.sum() == 0 and np.count_nonzero(cls) > 0
+    return {"moebius": mu, "seeded": v}
+
+
+@pytest.mark.parametrize("source", ["moebius", "seeded"])
+def test_integer_buckets_match_copied_kernel(source):
+    # at m = 4 * 10^5 one call sweeps 2 slices of int32
+    v = integer_tables(400000)[source]
+    for m in (3000, 2999, 1234, 400000, 399999):
+        ints = small_integers(v[: m + 1])
+        assert ints.dtype == np.int32
+        divisors = [q for q in range(130, 10000) if (m + 1) % q == 0]
+        small = sorted({*range(1, 130), *range(480, 544), 997, *divisors})
+        for qs in (small, [m - 1, m, m + 1, m + 40]):
+            got = residue_buckets(ints, m, qs)
+            for q, b in zip(qs, got):
+                w = copied_residue_buckets(v, m, q)
+                assert b.dtype == np.complex128 and b.tobytes() == w.tobytes(), (m, q)
+    if source == "seeded":  # the all -0.0 class, and the class that sums to 0
+        b = residue_buckets(small_integers(v), 400000, (7,))[0]
+        assert b[3] == 0 and b[5] == 0 and not np.signbit(b[[3, 5]].real).any()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 600000) | st.integers(262144, 800000),  # the latter: several int32 slices
+    bound=st.sampled_from([1, B]),
+    data=st.data(),
+)
+def test_integer_buckets_property(seed, m, bound, data):
+    rng = np.random.default_rng(seed)
+    values = rng.integers(-bound, bound + 1, m + 1).astype(np.float64)
+    values[rng.integers(0, m + 1, 8)] = -0.0
+    ints = small_integers(values)
+    assert ints is not None
+    top = data.draw(st.integers(1, m + 40) | st.integers(1, min(m + 40, 4096)), label="top")
+    qs = sorted(data.draw(st.sets(st.integers(1, top), min_size=1, max_size=64), label="qs"))
+    for q, b in zip(qs, residue_buckets(ints, m, qs)):
+        assert b.tobytes() == copied_residue_buckets(values, m, q).tobytes(), q
+
+
+@pytest.mark.parametrize(
+    "value, integer",
+    [(B, True), (-B, True), (-0.0, True), (B + 1, False), (-B - 1, False), (0.5, False),
+     (float("nan"), False), (float("inf"), False), (float("-inf"), False),
+     (2.0**31, False), (-(2.0**31), False), (2.0**40 + 1, False)],
+)
+def test_small_integers_gate(value, integer):
+    values = np.array([0.0, 1.0, -1.0, value, 3.0])
+    got = small_integers(values)
+    if integer:
+        assert got.dtype == np.int32 and np.array_equal(got, values)
+    else:
+        assert got is None
+    assert small_integers(values.astype(np.complex128)) is None
+    assert small_integers(values.astype(np.float32)) is None
+
+
 @pytest.mark.parametrize(
     "kind, x, Q, xi",
     [
@@ -364,6 +451,8 @@ def test_residue_buckets_property(seed, m, kind, data):
         ("complex", 2000.5, 2000, XI),
         ("real", 400000, 300, None),  # several slices per q-block
         ("complex", 400000, 300, XI),
+        ("moebius", 400000, 300, None),  # the integer path, over two int32 slices
+        ("moebius", 400000, 300, XI),
     ],
 )
 def test_bv_sum_matches_copied_kernel(monkeypatch, table, kind, x, Q, xi):
