@@ -214,12 +214,6 @@ class DirichletCharacter:
             return 0j
         return complex(self.group.roots[tl[0]])
 
-    def conj(self) -> "DirichletCharacter":
-        exps = tuple(
-            (-a) % f.order for a, f in zip(self.exponents, self.group.factors)
-        )
-        return _char_from_exponents(self.modulus, exps)
-
     def residue_values(self) -> np.ndarray:
         """chi on residues 0..q-1 as a complex vector (0 on non-units)."""
         return _residue_values_cached(self.modulus, self.exponents)
@@ -271,26 +265,8 @@ def enumerate_characters(q: int, table=None) -> list[DirichletCharacter]:
         raise ParameterError(f"modulus must be >= 1, got {q}")
     if table is not None and q > table.limit:
         raise ParameterError(f"q={q} exceeds table limit {table.limit}")
-    g = unit_group(q)
-    out = []
-    for label, exps in enumerate(itertools.product(*(range(f.order) for f in g.factors))):
-        out.append(
-            DirichletCharacter(
-                modulus=q,
-                exponents=exps,
-                conductor=_conductor_from(g, exps),
-                label=label,
-            )
-        )
-    return out
-
-
-def char_value(chi: DirichletCharacter, n: int) -> complex:
-    return chi.value(n)
-
-
-def conductor_and_primitivity(chi: DirichletCharacter) -> tuple[int, bool]:
-    return (chi.conductor, chi.conductor == chi.modulus)
+    orders = (range(f.order) for f in unit_group(q).factors)
+    return [_char_from_exponents(q, exps) for exps in itertools.product(*orders)]
 
 
 def _exponent_from_value(t: int, L: int, order: int) -> int:
@@ -383,9 +359,9 @@ def full_primitive_set(q: int) -> CharacterSet:
     )
 
 
-def primitive_characters(q: int, table=None) -> list[DirichletCharacter]:
+def primitive_characters(q: int) -> list[DirichletCharacter]:
     """The primitive characters mod q, in canonical order."""
-    return [chi for chi in enumerate_characters(q, table) if chi.is_primitive]
+    return [chi for chi in enumerate_characters(q) if chi.is_primitive]
 
 
 @lru_cache(maxsize=4096)

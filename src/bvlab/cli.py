@@ -103,16 +103,8 @@ def _write_json(path: str, obj) -> None:
 def _write_csv(path: str, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            cells = []
-            for v in row:
-                if isinstance(v, (int, np.integer)):
-                    cells.append(str(int(v)))
-                elif isinstance(v, (float, np.floating)):
-                    cells.append(_fmt_float(v))
-                else:
-                    cells.append(str(v))
-            fh.write(",".join(cells) + "\n")
+        for row in rows:  # every cell is an int or a float
+            fh.write(",".join(_jdump(v) for v in row) + "\n")
 
 
 def _sha256(path: str) -> str:
@@ -264,7 +256,7 @@ def _cmd_sieve_cache(args):
 def _cmd_delta(args):
     table = _get_table(args, int(args.x))
     fd = _dense(args.f, int(args.x), table)
-    rep = delta(fd, args.x, args.q, args.a, table)
+    rep = delta(fd, args.x, args.q, args.a)
     _write_json(args.out, _report_obj(rep))
     return {"abs_delta": abs(rep.delta)}, table
 
@@ -273,7 +265,7 @@ def _cmd_delta_xi(args):
     table = _get_table(args, int(args.x))
     xi = _parse_xi(args.xi, table)
     fd = _dense(args.f, int(args.x), table)
-    rep = delta_xi(fd, args.x, args.q, args.a, xi, table)
+    rep = delta_xi(fd, args.x, args.q, args.a, xi)
     _write_json(args.out, _report_obj(rep))
     return {"abs_delta": abs(rep.delta)}, table
 
@@ -282,7 +274,7 @@ def _cmd_bv_sum(args):
     table = _get_table(args, int(args.x))
     xi = _parse_xi(args.xi, table) if args.xi else None
     fd = _dense(args.f, int(args.x), table)
-    rep = bv_sum(fd, args.x, args.Q, xi, table, threads=args.threads)
+    rep = bv_sum(fd, args.x, args.Q, xi, threads=args.threads)
     _write_csv(args.out, ["q", "a_max", "abs_delta"], rep.per_q)
     return {"Q": rep.Q, "total": rep.total}, table
 
@@ -291,7 +283,7 @@ def _cmd_sw_profile(args):
     limit = int(max(args.X_grid))
     table = _get_table(args, limit)
     fd = _dense(args.f, limit, table)
-    rows = sw_profile(fd, args.q, args.a, args.X_grid, args.A, table)
+    rows = sw_profile(fd, args.q, args.a, args.X_grid, args.A)
     _write_csv(args.out, ["X", "abs_delta", "normalized"], rows)
     return {"points": len(rows)}, table
 
@@ -300,7 +292,7 @@ def _cmd_partial_summation(args):
     table = _get_table(args, int(args.x))
     xi = _parse_xi(args.xi, table) if args.xi else trivial_set()
     fd = _dense(args.f, int(args.x), table)
-    resid = partial_summation_check(fd, args.x, args.X, args.q, args.a, xi, table)
+    resid = partial_summation_check(fd, args.x, args.X, args.q, args.a, xi)
     _write_json(args.out, {"residual": resid})
     return {"residual": resid}, table
 
@@ -316,7 +308,7 @@ def _cmd_large_sieve_fuzz(args):
         N = int(rng.integers(1, args.N_max + 1))
         Q = int(rng.integers(1, args.Q_max + 1))
         coeffs = rng.uniform(-1, 1, N) + 1j * rng.uniform(-1, 1, N)
-        lhs, rhs, ratio = large_sieve_check(coeffs, Q, table)
+        lhs, rhs, ratio = large_sieve_check(coeffs, Q)
         worst = max(worst, ratio)
         rows.append((trial, N, Q, lhs, rhs, ratio))
     _write_csv(args.out, ["trial", "N", "Q", "lhs", "rhs", "ratio"], rows)
@@ -370,7 +362,7 @@ def _cmd_bilinear_fuzz(args):
         a /= np.maximum(1, np.abs(a))
         b = rng.uniform(-1, 1, V) + 1j * rng.uniform(-1, 1, V)
         b /= np.maximum(1, np.abs(b))
-        lhs, bound, ratio = bilinear_ls_eval(a, b, U, V, R, table)
+        lhs, bound, ratio = bilinear_ls_eval(a, b, U, V, R)
         worst = max(worst, ratio)
         rows.append((trial, U, V, R, lhs, bound, ratio))
     _write_csv(args.out, ["trial", "U", "V", "R", "lhs", "bound", "ratio"], rows)
@@ -391,7 +383,7 @@ def _cmd_counterexample(args):
     x = int(args.x)
     table = _get_table(args, x)
     spec = plan_counterexample(x, args.gamma, args.Q, table)
-    f = counterexample_multfn(spec, table)
+    f = counterexample_multfn(spec)
     bound = identity_validity_bound(spec)
     pointwise = pointwise_identity_check(spec, range(1, bound + 1), table, f)
     extension = range_extension_check(spec, table)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_arith import PrimeTable, euler_phi, factorize
-from .discrepancy import plain_delta, residue_buckets, small_integers
+from .discrepancy import plain_delta, residue_buckets
 from .errors import InvariantViolationError, OutOfRangeError, ParameterError
 from .multfun import ArithFn, MultFn, evaluate, to_arith
 
@@ -82,7 +82,7 @@ def plan_counterexample(
     return CounterexampleSpec(x=x, gamma=gamma, Q=Q, y=y, z=z, script_P=script_P)
 
 
-def counterexample_multfn(spec: CounterexampleSpec, table: PrimeTable) -> MultFn:
+def counterexample_multfn(spec: CounterexampleSpec) -> MultFn:
     """The completely multiplicative f with values in {-1, 0, 1} at primes."""
     script_P = _script_P_array(spec)
     z, y = spec.z, spec.y
@@ -104,10 +104,6 @@ def _script_P_array(spec: CounterexampleSpec) -> np.ndarray:
     return np.fromiter(spec.script_P, dtype=np.int64, count=len(spec.script_P))
 
 
-def build_counterexample(x: int, gamma: float, Q: int, table: PrimeTable) -> MultFn:
-    return counterexample_multfn(plan_counterexample(x, gamma, Q, table), table)
-
-
 def identity_validity_bound(spec: CounterexampleSpec) -> int:
     """Largest n up to which f(n) = |f(n)| - 2*[n in script_P] is asserted."""
     return int(min(spec.x, (spec.y / 2) ** 2))
@@ -121,7 +117,7 @@ def pointwise_identity_check(
     f is the spec's counterexample_multfn, built here unless passed in.
     """
     if f is None:
-        f = counterexample_multfn(spec, table)
+        f = counterexample_multfn(spec)
     bound = identity_validity_bound(spec)
     if isinstance(n_range, range) and n_range.step == 1 and len(n_range) > 0:
         lo, hi = n_range.start, n_range.stop - 1
@@ -157,7 +153,7 @@ def range_extension_check(spec: CounterexampleSpec, table: PrimeTable) -> dict[i
     return out
 
 
-def script_P_indicator(spec: CounterexampleSpec, table: PrimeTable) -> ArithFn:
+def script_P_indicator(spec: CounterexampleSpec) -> ArithFn:
     vals = np.zeros(spec.x + 1)
     vals[_script_P_array(spec)] = 1.0
     return ArithFn(values=vals, limit=spec.x, label="1_scriptP")
@@ -184,15 +180,16 @@ def lower_bound_report(spec: CounterexampleSpec, table: PrimeTable) -> LowerBoun
 
     Delta(1_P, x; q, 1) is delta's arithmetic on the residue buckets of the
     indicator, formed for every prime q in (Q, 2Q] by one residue_buckets
-    call on its int32 copy.
+    call on the indicator as int32, which sums it exactly.
     """
-    ind = script_P_indicator(spec, table)
+    ind = np.zeros(spec.x + 1, dtype=np.int32)
+    ind[_script_P_array(spec)] = 1
     logx = math.log(spec.x)
     ps = table.primes_in(spec.y / 2, spec.y)
     qs = [int(q) for q in table.primes_in(spec.Q, 2 * spec.Q)]
     rows = []
     S = 0.0
-    for q, b in zip(qs, residue_buckets(small_integers(ind.values), spec.x, qs)):
+    for q, b in zip(qs, residue_buckets(ind, spec.x, qs)):
         d = abs(plain_delta(b, q, 1)[2])
         phi_q = euler_phi(q, table)
         pi_diff = int(np.count_nonzero(ps % q == 1))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .characters import CharacterSet, DirichletCharacter, primitive_value_matrix
 from .core_arith import PrimeTable, factorize, p_plus_array
-from .discrepancy import chunked_map, delta_xi
+from .discrepancy import _coprime_residues, chunked_map, delta_xi
 from .errors import DomainError, OutOfRangeError, ParameterError
 from .multfun import MultFn, dirichlet_convolve, to_arith, truncated_convolution
 
@@ -36,6 +36,8 @@ class SmoothSplit:
 
 def smooth_factor_split(n: int, V0: float, table: PrimeTable) -> SmoothSplit:
     """The unique split of n > V0: descending primes go into v until v > V0."""
+    if V0 < 1:  # v / P_minus(v) >= 1, so no split has v / P_minus(v) <= V0 < 1
+        raise ParameterError(f"V0={V0} must be >= 1")
     if n > table.limit:
         raise OutOfRangeError(f"n={n} exceeds table limit {table.limit}")
     if n <= V0:
@@ -176,7 +178,7 @@ def cell_covers(cell: DyadicCell, split: SmoothSplit) -> bool:
 
 
 def bilinear_ls_eval(
-    a_coeffs, b_coeffs, U: int, V: int, R: float, table: PrimeTable
+    a_coeffs, b_coeffs, U: int, V: int, R: float
 ) -> tuple[float, float, float]:
     """Character-averaged bilinear sum against its large-sieve benchmark.
 
@@ -210,10 +212,9 @@ def bilinear_ls_eval(
         bb_i = np.bincount(vs % r, weights=b.imag, minlength=r)
         ba = ba_r + 1j * ba_i
         bb = bb_r + 1j * bb_i
-        phi = int(np.count_nonzero(np.gcd(np.arange(1, r + 1), r) == 1))
         cbar = np.conj(mat)
         inner = float(np.sum(np.abs(cbar @ ba) * np.abs(cbar @ bb)))
-        lhs += inner / phi
+        lhs += inner / len(_coprime_residues(r))
     bound = (math.sqrt(U) + R) * (math.sqrt(V) + R) * math.sqrt(U * V) / R
     return (lhs, bound, lhs / bound)
 
@@ -241,6 +242,8 @@ def truncation_difference_check(
     identically and are skipped). Requires y >= (log x)^{2C} so that no
     product m*n <= x has both factors above y.
     """
+    if not x > 1:
+        raise ParameterError(f"x={x} must be > 1, so that log x > 0")
     if math.gcd(a, q) != 1:
         raise ParameterError(f"residue a={a} is not coprime to q={q}")
     L = math.log(x) ** C
@@ -256,8 +259,8 @@ def truncation_difference_check(
     conv = dirichlet_convolve(fd, gd, mx)
     conv_trunc = truncated_convolution(fd, gd, y, mx)
     lhs = (
-        delta_xi(conv, x, q, a, xi, table).delta
-        - delta_xi(conv_trunc, x, q, a, xi, table).delta
+        delta_xi(conv, x, q, a, xi).delta
+        - delta_xi(conv_trunc, x, q, a, xi).delta
     )
     rhs = 0j
     for side in range(2):
@@ -266,7 +269,7 @@ def truncation_difference_check(
             if math.gcd(m, q) != 1 or outer.values[m] == 0:
                 continue
             am = (a * pow(m, -1, q)) % q
-            dx = delta_xi(innerfn, x / m, q, am, xi, table).delta
-            dy = delta_xi(innerfn, y, q, am, xi, table).delta
+            dx = delta_xi(innerfn, x / m, q, am, xi).delta
+            dy = delta_xi(innerfn, y, q, am, xi).delta
             rhs += outer.values[m] * (dx - dy)
     return float(abs(lhs - rhs))

@@ -31,10 +31,10 @@ no bit. q = 1 keeps its one pairwise sum. One modulus, or one slice
 covering 0..m, reduces straight from the values in one pass.
 
 Integer path: when every value is an integer of size <= _INT_BOUND (Moebius,
-Liouville, the counterexample and its indicator), small_integers gives an
-int32 copy, and bv_sum and the counterexample's lower-bound sum hand that
-to residue_buckets. Every partial sum, in any order, is then an integer of
-size <= 2^52, so each float64 addition of the float path above is exact:
+Liouville, the counterexample), small_integers gives an int32 copy, which
+bv_sum hands to residue_buckets; the counterexample's lower-bound sum
+builds its indicator as int32. Every partial sum, in any order, is then an
+integer of size <= 2^52, so each float64 addition of the float path is exact:
 its bucket is that integer, and +0.0 when it is 0, -0.0 inputs included.
 The integer path reaches the same integer in any order: each slice reduces
 its rows of q * ceil(_WIDE / q) values into int32 (at most 1025 rows, so
@@ -141,9 +141,9 @@ def residue_buckets(values: np.ndarray, m: int, qs: Sequence[int]) -> list[np.nd
     the partial last row, padded with zeros to q entries. Float64 `values`
     (bucket_values of a real f) are reduced in float64, except at q = 1.
     Several moduli share one sweep over `values` in slices; see the
-    numerical policy above. Int32 `values` (small_integers of float64 ones)
-    are summed exactly in wide rows, with the same bits as their float64
-    originals.
+    numerical policy above. Int32 `values` of size <= _INT_BOUND (such as
+    small_integers of float64 ones) are summed exactly in wide rows, with
+    the same bits as their float64 originals.
     """
     if values.dtype == np.int32:
         return _integer_buckets(values, m, qs)
@@ -247,7 +247,7 @@ def plain_delta(b: np.ndarray, q: int, a: int) -> tuple[complex, complex, comple
     return prog, cop, prog - cop / len(rs)
 
 
-def delta(f: ArithFn, x: float, q: int, a: int, table=None) -> DiscrepancyReport:
+def delta(f: ArithFn, x: float, q: int, a: int) -> DiscrepancyReport:
     """Plain discrepancy: progression sum minus coprime average."""
     m = _check_args(f, x, q, a)
     prog, cop, d = plain_delta(residue_buckets(bucket_values(f, m), m, (q,))[0], q, a)
@@ -268,16 +268,12 @@ def delta(f: ArithFn, x: float, q: int, a: int, table=None) -> DiscrepancyReport
     )
 
 
-def delta_xi(
-    f: ArithFn, x: float, q: int, a: int, xi: CharacterSet, table=None
-) -> DiscrepancyReport:
+def delta_xi(f: ArithFn, x: float, q: int, a: int, xi: CharacterSet) -> DiscrepancyReport:
     """Xi-corrected discrepancy: subtract (1/phi) sum_{chi in Xi_q} chi(a) S_f(x, chi)."""
     m = _check_args(f, x, q, a)
     b = residue_buckets(bucket_values(f, m), m, (q,))[0]
+    prog, cop, _ = plain_delta(b, q, a)
     rs = _coprime_residues(q)
-    phi = len(rs)
-    prog = complex(b[a % q])
-    cop = complex(np.sum(b[rs]))
     # Scalar arithmetic sticks to Python complex: numpy's complex division
     # rounds differently, and the Xi = {1} path must match delta() bitwise.
     corr = 0j
@@ -285,7 +281,7 @@ def delta_xi(
         cv = chi.residue_values()
         s_chi = complex(np.sum(np.conj(cv[rs]) * b[rs]))
         corr += complex(chi.value(a)) * s_chi
-    corr /= phi
+    corr /= len(rs)
     return DiscrepancyReport(
         f_id=f.label,
         x=x,
@@ -336,7 +332,6 @@ def bv_sum(
     x: float,
     Q: int,
     xi: Optional[CharacterSet] = None,
-    table=None,
     threads: int = 1,
 ) -> BVSumReport:
     """sum_{q <= Q} max_{(a,q)=1} |delta(f, x; q, a)|, scanning residues exhaustively.
@@ -365,12 +360,14 @@ def bv_sum(
 
 
 def sw_profile(
-    f: ArithFn, q: int, a: int, X_grid: Sequence[float], A: float, table=None
+    f: ArithFn, q: int, a: int, X_grid: Sequence[float], A: float
 ) -> list[tuple[float, float, float]]:
-    """Normalized discrepancy profile: (X, |delta|, |delta| (log X)^A / X)."""
+    """Normalized discrepancy profile: (X, |delta|, |delta| (log X)^A / X), every X > 1."""
+    if not all(X > 1 for X in X_grid):  # (log X)^A is real and nonzero only for X > 1
+        raise ParameterError(f"every X must be > 1, got {list(X_grid)}")
     out = []
     for X in X_grid:
-        rep = delta(f, X, q, a, table)
+        rep = delta(f, X, q, a)
         ab = abs(rep.delta)
         out.append((float(X), ab, ab * math.log(X) ** A / X))
     return out
@@ -389,7 +386,7 @@ def _kernel_residues(q: int, a: int, xi: CharacterSet) -> np.ndarray:
 
 
 def partial_summation_check(
-    f: ArithFn, x: float, X: float, q: int, a: int, xi: CharacterSet, table=None
+    f: ArithFn, x: float, X: float, q: int, a: int, xi: CharacterSet
 ) -> float:
     """Residual of the exact partial-summation identity between f and f*log.
 
@@ -503,7 +500,7 @@ def _primitive_sums(a: np.ndarray, Q: int, start: int, plan: _SievePlan) -> np.n
 
 
 def large_sieve_check(
-    coeffs: Sequence[complex], Q: int, table=None, start: int = 0
+    coeffs: Sequence[complex], Q: int, start: int = 0
 ) -> tuple[float, float, float]:
     """Check the multiplicative large sieve on one coefficient vector.
 

@@ -33,7 +33,6 @@ from .characters import enumerate_characters
 from .core_arith import PrimeTable
 from .errors import ParameterError
 from .multfun import (
-    ArithFn,
     MultFn,
     character_fn,
     cm_from_arrays,

@@ -53,7 +53,8 @@ class MultFn:
     of identical values), so concurrent evaluation is safe.
     MultFn.from_arrays(rule, ...) takes an array rule, int64 arrays p, k ->
     f(p^k) as complex128, evaluated anew on each values_at call; pp_value
-    memoizes its one-entry calls in the same memo.
+    memoizes its one-entry calls in the same memo. `rule` holds either kind,
+    and `_arrays` says which.
     """
 
     def __init__(
@@ -69,7 +70,7 @@ class MultFn:
         self.limit = limit
         self.label = label
         self.validate = validate
-        self._array_rule: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+        self._arrays = False
         self._pp: dict[int, complex] = {}
 
     @classmethod
@@ -81,7 +82,7 @@ class MultFn:
         validate: bool = True,
     ) -> "MultFn":
         f = cls(rule, limit, label, validate)
-        f._array_rule = rule
+        f._arrays = True
         return f
 
     def values_at(self, p: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -91,11 +92,11 @@ class MultFn:
         An array rule is called once; when validating, the least p^k whose
         value lies outside the unit disc (NaN included) is reported.
         """
-        if self._array_rule is None:
+        if not self._arrays:
             return np.array(
                 [self.pp_value(a, b) for a, b in zip(p.tolist(), k.tolist())], dtype=complex
             )
-        v = np.asarray(self._array_rule(p, k), dtype=np.complex128)
+        v = np.asarray(self.rule(p, k), dtype=np.complex128)
         if self.validate:
             bad = np.flatnonzero(~(np.hypot(v.real, v.imag) <= 1 + _TOL))
             if len(bad):
@@ -108,7 +109,7 @@ class MultFn:
         key = p**k
         v = self._pp.get(key)
         if v is None:
-            if self._array_rule is not None:
+            if self._arrays:
                 v = complex(self.values_at(np.array([p], np.int64), np.array([k], np.int64))[0])
             else:
                 v = complex(self.rule(p, k))
@@ -116,9 +117,6 @@ class MultFn:
                     raise _violation(p, k, v, self.label)
             self._pp[key] = v
         return v
-
-
-make_multfn = MultFn
 
 
 def _pack(pair) -> np.ndarray:
@@ -503,15 +501,14 @@ def smooth_truncation(f: MultFn, y: float) -> MultFn:
     )
 
 
-def restrict_to_primes(f: MultFn, table: PrimeTable, limit: Optional[int] = None) -> ArithFn:
-    """f * 1_P: the values of f at primes, zero elsewhere."""
-    lim = f.limit if limit is None else limit
-    if lim > table.limit:
-        raise OutOfRangeError(f"limit={lim} exceeds table limit {table.limit}")
-    vals = np.zeros(lim + 1, dtype=np.complex128)
-    ps = table.primes[table.primes <= lim].astype(np.int64)
+def restrict_to_primes(f: MultFn, table: PrimeTable, limit: int) -> ArithFn:
+    """f * 1_P: the values of f at primes up to limit, zero elsewhere."""
+    if limit > table.limit:
+        raise OutOfRangeError(f"limit={limit} exceeds table limit {table.limit}")
+    vals = np.zeros(limit + 1, dtype=np.complex128)
+    ps = table.primes[table.primes <= limit].astype(np.int64)
     vals[ps] = f.values_at(ps, np.ones_like(ps))
-    return ArithFn(values=vals, limit=lim, label=f"{f.label}|primes")
+    return ArithFn(values=vals, limit=limit, label=f"{f.label}|primes")
 
 
 def log_twist(f: ArithFn, normalize_by: float) -> ArithFn:

@@ -131,7 +131,7 @@ def test_criterion_4_full_group_annihilation(table_1e4):
         residues = [a for a in range(1, q + 1) if math.gcd(a, q) == 1]
         for fd in denses:
             for a in residues:
-                rep = delta_xi(fd, x, q, a, xi_full, table_1e4)
+                rep = delta_xi(fd, x, q, a, xi_full)
                 worst = max(worst, abs(rep.delta))
     assert worst <= 1e-9, worst
 
@@ -141,9 +141,7 @@ def test_criterion_4_full_group_annihilation(table_1e4):
             for a in (1, q - 1 if q > 2 else 1):
                 if math.gcd(a, q) != 1:
                     continue
-                assert delta_xi(fd, x, q, a, xi1, table_1e4).delta == delta(
-                    fd, x, q, a, table_1e4
-                ).delta
+                assert delta_xi(fd, x, q, a, xi1).delta == delta(fd, x, q, a).delta
     report(4, f"full-group annihilation max |delta_Xi| = {worst:.2e}; trivial Xi bitwise equal")
 
 
@@ -161,7 +159,7 @@ def test_criterion_5_partial_summation(table_1e4):
         a = rng.choice([r for r in range(1, q + 1) if math.gcd(r, q) == 1])
         x = rng.randrange(20, LIMIT)
         X = rng.uniform(2, x)
-        resid = partial_summation_check(fd, x, X, q, a, rng.choice(xis), table_1e4)
+        resid = partial_summation_check(fd, x, X, q, a, rng.choice(xis))
         worst = max(worst, resid)
     assert worst <= 1e-8, worst
     report(5, f"100 partial-summation tuples: worst residual {worst:.2e}")
@@ -205,8 +203,8 @@ def test_criterion_6_smooth_split_and_assembly(table_1e4):
     )
 
 
-def test_criterion_7_large_sieve(table_1e4):
-    lhs, rhs, _ = large_sieve_check([1.0], 3, table_1e4)
+def test_criterion_7_large_sieve():
+    lhs, rhs, _ = large_sieve_check([1.0], 3)
     assert lhs == 2.5 and rhs == 10.0
 
     rng = np.random.default_rng(FAMILY_SEED + 6)
@@ -215,7 +213,7 @@ def test_criterion_7_large_sieve(table_1e4):
         N = int(rng.integers(1, 201))
         Q = int(rng.integers(1, 201))
         coeffs = rng.uniform(-1, 1, N) + 1j * rng.uniform(-1, 1, N)
-        lhs, rhs, ratio = large_sieve_check(coeffs, Q, table_1e4)
+        lhs, rhs, ratio = large_sieve_check(coeffs, Q)
         assert lhs <= rhs
         worst_ratio = max(worst_ratio, ratio)
     report(7, f"hand case lhs = 5/2 exact; 1000 seeded vectors, worst ratio {worst_ratio:.3f}")

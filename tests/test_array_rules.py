@@ -111,7 +111,7 @@ def test_table_with_absent_and_other_entries(table, tmp_path):
 
 def test_counterexample(table):
     spec = plan_counterexample(LIM, 2.0, None, table)
-    lib = counterexample_multfn(spec, table)
+    lib = counterexample_multfn(spec)
     assert_same_bits(lib, MultFn(counterexample_rule(spec), LIM), table)
 
 

@@ -7,8 +7,6 @@ import pytest
 from bvlab import ParameterError, euler_phi
 from bvlab.characters import (
     CharacterSet,
-    char_value,
-    conductor_and_primitivity,
     enumerate_characters,
     full_primitive_set,
     induce,
@@ -66,11 +64,11 @@ def test_rejects_modulus_zero():
 
 def test_char_value_examples():
     principal3 = enumerate_characters(3)[0]
-    assert char_value(principal3, 6) == 0
+    assert principal3.value(6) == 0
     nonprincipal3 = enumerate_characters(3)[1]
-    assert char_value(nonprincipal3, 2) == pytest.approx(-1, abs=1e-12)
+    assert nonprincipal3.value(2) == pytest.approx(-1, abs=1e-12)
     for chi in enumerate_characters(12):
-        assert char_value(chi, 1) == pytest.approx(1, abs=0)
+        assert chi.value(1) == pytest.approx(1, abs=0)
 
 
 def test_values_have_unit_modulus():
@@ -105,11 +103,11 @@ def test_multiplicativity_random():
 
 def test_conductor_examples():
     principal12 = enumerate_characters(12)[0]
-    assert conductor_and_primitivity(principal12) == (1, False)
+    assert (principal12.conductor, principal12.is_primitive) == (1, False)
     nonprincipal6 = enumerate_characters(6)[1]
-    assert conductor_and_primitivity(nonprincipal6) == (3, False)
+    assert (nonprincipal6.conductor, nonprincipal6.is_primitive) == (3, False)
     nonprincipal3 = enumerate_characters(3)[1]
-    assert conductor_and_primitivity(nonprincipal3) == (3, True)
+    assert (nonprincipal3.conductor, nonprincipal3.is_primitive) == (3, True)
 
 
 def test_conductor_is_smallest_inducing_period():

@@ -327,6 +327,14 @@ MU = '{"kind":"builtin","name":"moebius"}'
         (["delta", "--f", MU, "--x", "1e30", "--q", "3", "--a", "1"], 3),
         (["lambda-check", "--f", MU, "--limit", str(10**30)], 3),
         (["sieve-cache", "--limit", str(10**20)], 3),
+        # X <= 1 in the grid or x <= 1, where log X <= 0, and V0 < 1, where no split exists: exit 3
+        (["sw-profile", "--f", MU, "--q", "3", "--a", "1", "--X-grid", "100,0", "--A", "2"], 3),
+        (["sw-profile", "--f", MU, "--q", "3", "--a", "1", "--X-grid", "100,1", "--A", "-1"], 3),
+        (["sw-profile", "--f", MU, "--q", "3", "--a", "1", "--X-grid", "100,0.5", "--A", "2.5"], 3),
+        (["sw-profile", "--f", MU, "--q", "3", "--a", "1", "--X-grid", "100,1", "--A", "2"], 3),
+        (["smooth-split", "--n", "1", "--V0", "0.5"], 3),
+        (["smooth-split", "--n", "6", "--V0", "0.5"], 3),
+        (["truncation-check", "--f", MU, "--g", MU, "--x", "1", "--C", "1", "--q", "3", "--a", "1"], 3),
     ],
 )
 def test_bad_inputs_exit_without_traceback(tmp_path, capsys, monkeypatch, argv, code):

@@ -6,7 +6,7 @@ import pytest
 from bvlab import euler_phi, smoothness
 from bvlab.counterexample import (
     CounterexampleSpec,
-    build_counterexample,
+    counterexample_multfn,
     default_Q,
     identity_validity_bound,
     lower_bound_report,
@@ -46,7 +46,7 @@ def test_plan_shapes(table_1e5):
 def test_prime_values(table_1e5):
     x = 10**5
     spec = spec_for(x, 2.0, table_1e5)
-    f = build_counterexample(x, 2.0, spec.Q, table_1e5)
+    f = counterexample_multfn(spec)
     for p in spec.script_P:
         assert evaluate(f, p, table_1e5) == -1
     for p in table_1e5.primes_in(2, spec.z):
@@ -65,7 +65,7 @@ def test_prime_values(table_1e5):
 def test_smooth_support(table_1e5):
     x = 10**5
     spec = spec_for(x, 2.0, table_1e5)
-    f = build_counterexample(x, 2.0, spec.Q, table_1e5)
+    f = counterexample_multfn(spec)
     fd = to_arith(f, 10**4, table_1e5)
     for n in range(1, 10**4 + 1):
         if fd.values[n] != 0:
@@ -76,7 +76,7 @@ def test_smooth_support(table_1e5):
 def test_class_c(table_1e5):
     x = 10**5
     spec = spec_for(x, 2.0, table_1e5)
-    f = build_counterexample(x, 2.0, spec.Q, table_1e5)
+    f = counterexample_multfn(spec)
     ok, witness = class_c_check(f, 10**4, table_1e5)
     assert ok, witness
 
@@ -94,7 +94,7 @@ def test_pointwise_identity(table_1e5):
 def test_pointwise_identity_on_script_primes(table_1e5):
     x = 10**5
     spec = spec_for(x, 2.0, table_1e5)
-    f = build_counterexample(x, 2.0, spec.Q, table_1e5)
+    f = counterexample_multfn(spec)
     p = min(spec.script_P)
     assert evaluate(f, p, table_1e5) == -1 == abs(-1) - 2
 
@@ -128,12 +128,12 @@ def test_lower_bound_rows_match_per_modulus_delta(table_1e5):
     # the rows as they were formed with one delta call per prime q
     x = 10**5
     spec = spec_for(x, 2.0, table_1e5)
-    ind = script_P_indicator(spec, table_1e5)
+    ind = script_P_indicator(spec)
     ps = table_1e5.primes_in(spec.y / 2, spec.y)
     want = []
     for q in table_1e5.primes_in(spec.Q, 2 * spec.Q):
         q = int(q)
-        d = abs(delta(ind, x, q, 1, table_1e5).delta)
+        d = abs(delta(ind, x, q, 1).delta)
         phi_q = euler_phi(q, table_1e5)
         want.append((q, d, phi_q, int(np.count_nonzero(ps % q == 1)), len(spec.script_P) / phi_q))
     assert len(want) > 10

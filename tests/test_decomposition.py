@@ -186,11 +186,9 @@ def test_dyadic_cells_invariants(table):
         assert 1 <= c.P_plus <= y
 
 
-def test_bilinear_hand_enumeration(table):
+def test_bilinear_hand_enumeration():
     # a = b = all ones on [4, 8); r runs over (2, 4].
-    lhs, bound, ratio = bilinear_ls_eval(
-        np.ones(4), np.ones(4), 4, 4, 2.0, table
-    )
+    lhs, bound, ratio = bilinear_ls_eval(np.ones(4), np.ones(4), 4, 4, 2.0)
     # mod 3 character: sum over u=4..7 of conj(chi(u)) = 1 - 1 + 0 + 1 = 1
     # mod 4 character: 0 + 1 + 0 - 1 = 0
     want = (1 * 1) / 2 + 0
@@ -199,14 +197,14 @@ def test_bilinear_hand_enumeration(table):
     assert ratio == pytest.approx(lhs / bound)
 
 
-def test_bilinear_zero_block(table):
-    lhs, _, ratio = bilinear_ls_eval(np.zeros(8), np.ones(8), 8, 8, 3.0, table)
+def test_bilinear_zero_block():
+    lhs, _, ratio = bilinear_ls_eval(np.zeros(8), np.ones(8), 8, 8, 3.0)
     assert lhs == 0 and ratio == 0
 
 
-def test_bilinear_rejects_large_coeffs(table):
+def test_bilinear_rejects_large_coeffs():
     with pytest.raises(ParameterError):
-        bilinear_ls_eval(np.full(4, 2.0), np.ones(4), 4, 4, 2.0, table)
+        bilinear_ls_eval(np.full(4, 2.0), np.ones(4), 4, 4, 2.0)
 
 
 # Calibrated once over the seeded campaigns below plus adversarial all-ones
@@ -215,7 +213,7 @@ def test_bilinear_rejects_large_coeffs(table):
 CALIBRATED_BILINEAR_C = 1.0
 
 
-def test_bilinear_campaign_at_stated_block(table):
+def test_bilinear_campaign_at_stated_block():
     # the fixed-block campaign: U = V = 64, R = 8, 200 unit-disc trials
     rng = np.random.default_rng(12345)
     worst = 0.0
@@ -224,13 +222,13 @@ def test_bilinear_campaign_at_stated_block(table):
         a /= np.maximum(1, np.abs(a))
         b = rng.uniform(-1, 1, 64) + 1j * rng.uniform(-1, 1, 64)
         b /= np.maximum(1, np.abs(b))
-        _lhs, _bound, ratio = bilinear_ls_eval(a, b, 64, 64, 8.0, table)
+        _lhs, _bound, ratio = bilinear_ls_eval(a, b, 64, 64, 8.0)
         worst = max(worst, ratio)
     assert worst <= CALIBRATED_BILINEAR_C
     print(f"bilinear campaign (U=V=64, R=8) worst ratio: {worst:.6f}")
 
 
-def test_bilinear_fuzz_ratio_bounded(table):
+def test_bilinear_fuzz_ratio_bounded():
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(60):
@@ -241,11 +239,11 @@ def test_bilinear_fuzz_ratio_bounded(table):
         a /= np.maximum(1, np.abs(a))
         b = rng.uniform(-1, 1, V) + 1j * rng.uniform(-1, 1, V)
         b /= np.maximum(1, np.abs(b))
-        _lhs, _bound, ratio = bilinear_ls_eval(a, b, U, V, R, table)
+        _lhs, _bound, ratio = bilinear_ls_eval(a, b, U, V, R)
         worst = max(worst, ratio)
     for U in (2, 4, 16, 128):
         for R in (1.0, 4.0, 16.0):
-            _lhs, _bound, ratio = bilinear_ls_eval(np.ones(U), np.ones(U), U, U, R, table)
+            _lhs, _bound, ratio = bilinear_ls_eval(np.ones(U), np.ones(U), U, U, R)
             worst = max(worst, ratio)
     assert worst <= CALIBRATED_BILINEAR_C
     print(f"bilinear fuzz worst ratio: {worst:.6f}")

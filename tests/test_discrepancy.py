@@ -67,20 +67,20 @@ def test_twisted_sum_examples(table):
 
 def test_delta_examples(table):
     o = dense(one(100), 100, table)
-    rep = delta(o, 10, 3, 1, table)
+    rep = delta(o, 10, 3, 1)
     assert rep.delta == pytest.approx(0.5)
     assert rep.progression_sum == pytest.approx(4)
     assert rep.coprime_sum == pytest.approx(7)
-    rep2 = delta(o, 10, 3, 2, table)
+    rep2 = delta(o, 10, 3, 2)
     assert rep2.delta == pytest.approx(-0.5)
-    rep3 = delta(o, 10, 1, 1, table)
+    rep3 = delta(o, 10, 1, 1)
     assert rep3.delta == 0
 
 
 def test_delta_rejects_noncoprime(table):
     o = dense(one(100), 100, table)
     with pytest.raises(ParameterError):
-        delta(o, 10, 6, 3, table)
+        delta(o, 10, 6, 3)
 
 
 def test_delta_against_brute(table):
@@ -91,7 +91,7 @@ def test_delta_against_brute(table):
         a = rng.choice([r for r in range(1, q + 1) if math.gcd(r, q) == 1])
         x = rng.randrange(q, 500)
         want = brute_delta(mu.values, x, q, a)
-        assert delta(mu, x, q, a, table).delta == pytest.approx(want, abs=1e-12)
+        assert delta(mu, x, q, a).delta == pytest.approx(want, abs=1e-12)
 
 
 def test_delta_xi_trivial_equals_delta_bitwise(table):
@@ -101,14 +101,14 @@ def test_delta_xi_trivial_equals_delta_bitwise(table):
         for a in range(1, q + 1):
             if math.gcd(a, q) != 1:
                 continue
-            plain = delta(mu, 2000, q, a, table)
-            corrected = delta_xi(mu, 2000, q, a, xi, table)
+            plain = delta(mu, 2000, q, a)
+            corrected = delta_xi(mu, 2000, q, a, xi)
             assert corrected.delta == plain.delta
 
 
 def test_delta_xi_full_group_annihilates(table):
     o = dense(one(1000), 1000, table)
-    rep = delta_xi(o, 10, 3, 1, full_primitive_set(3), table)
+    rep = delta_xi(o, 10, 3, 1, full_primitive_set(3))
     assert abs(rep.delta) <= 1e-12
     assert rep.xi_correction == pytest.approx(4)  # (7 + 1)/2
     for q in (4, 5, 8, 12):
@@ -116,7 +116,7 @@ def test_delta_xi_full_group_annihilates(table):
         for a in (1, q - 1):
             if math.gcd(a, q) != 1:
                 continue
-            rep = delta_xi(o, 1000, q, a, xi, table)
+            rep = delta_xi(o, 1000, q, a, xi)
             assert abs(rep.delta) <= 1e-9
 
 
@@ -125,8 +125,8 @@ def test_character_killing(table):
     chi3 = enumerate_characters(3)[1]
     f = dense(character_fn(chi3, x), x, table)
     xi = CharacterSet(members=(chi3,))
-    plain = delta(f, x, 3, 1, table)
-    corrected = delta_xi(f, x, 3, 1, xi, table)
+    plain = delta(f, x, 3, 1)
+    corrected = delta_xi(f, x, 3, 1, xi)
     assert abs(corrected.delta) <= 1
     assert abs(plain.delta) >= x / 3 - 2
 
@@ -134,7 +134,7 @@ def test_character_killing(table):
 def test_bv_sum_example_direct_enumeration(table):
     # q=1 and q=2 contribute 0 (phi(2)=1 forces delta(q=2) = 0); q=3 gives 1/2.
     o = dense(one(100), 100, table)
-    rep = bv_sum(o, 10, 3, None, table)
+    rep = bv_sum(o, 10, 3, None)
     assert [r[0] for r in rep.per_q] == [1, 2, 3]
     assert rep.per_q[0][2] == 0
     assert rep.per_q[1][2] == 0
@@ -144,12 +144,12 @@ def test_bv_sum_example_direct_enumeration(table):
 
 def test_bv_sum_Q1_is_zero(table):
     o = dense(one(100), 100, table)
-    assert bv_sum(o, 100, 1, None, table).total == 0
+    assert bv_sum(o, 100, 1, None).total == 0
 
 
 def test_bv_sum_prime_indicator_brute(table):
     ind = restrict_to_primes(one(100), table, 100)
-    rep = bv_sum(ind, 100, 5, None, table)
+    rep = bv_sum(ind, 100, 5, None)
     want = 0.0
     for q in range(1, 6):
         best = max(
@@ -163,7 +163,7 @@ def test_bv_sum_prime_indicator_brute(table):
 
 def test_bv_sum_total_is_sum_of_rows(table):
     mu = dense(moebius(2000), 2000, table)
-    rep = bv_sum(mu, 2000, 40, None, table)
+    rep = bv_sum(mu, 2000, 40, None)
     acc = 0.0
     for _q, a, v in rep.per_q:
         acc += v
@@ -174,17 +174,17 @@ def test_bv_sum_total_is_sum_of_rows(table):
 
 def test_bv_sum_xi_trivial_matches_plain_bitwise(table):
     mu = dense(moebius(2000), 2000, table)
-    plain = bv_sum(mu, 2000, 50, None, table)
-    corrected = bv_sum(mu, 2000, 50, trivial_set(), table)
+    plain = bv_sum(mu, 2000, 50, None)
+    corrected = bv_sum(mu, 2000, 50, trivial_set())
     assert plain.per_q == corrected.per_q
     assert plain.total == corrected.total
 
 
 def test_bv_sum_threads_bit_stable(table):
     mu = dense(moebius(2000), 2000, table)
-    base = bv_sum(mu, 2000, 200, None, table, threads=1)
+    base = bv_sum(mu, 2000, 200, None, threads=1)
     for threads in (2, 4):
-        rep = bv_sum(mu, 2000, 200, None, table, threads=threads)
+        rep = bv_sum(mu, 2000, 200, None, threads=threads)
         assert rep.per_q == base.per_q
         assert rep.total == base.total
 
@@ -203,43 +203,43 @@ def test_reconstruction_invariant(table):
 
 def test_sw_profile_one_is_bounded(table):
     o = dense(one(10**4), 10**4, table)
-    prof = sw_profile(o, 3, 1, [100, 1000, 10**4], 2.0, table)
+    prof = sw_profile(o, 3, 1, [100, 1000, 10**4], 2.0)
     for X, ab, _norm in prof:
         assert ab <= 1
 
 
 def test_sw_profile_A0_third_column(table):
     mu = dense(moebius(10**4), 10**4, table)
-    prof = sw_profile(mu, 3, 1, [100, 1000], 0.0, table)
+    prof = sw_profile(mu, 3, 1, [100, 1000], 0.0)
     for X, ab, norm in prof:
         assert norm == pytest.approx(ab / X)
 
 
 def test_sw_profile_moebius_reported(table):
     mu = dense(moebius(10**4), 10**4, table)
-    prof = sw_profile(mu, 3, 1, [100, 1000, 10**4], 2.0, table)
+    prof = sw_profile(mu, 3, 1, [100, 1000, 10**4], 2.0)
     assert len(prof) == 3
     assert all(np.isfinite(v) for row in prof for v in row)
 
 
 def test_partial_summation_trivial(table):
     o = dense(one(200), 200, table)
-    assert partial_summation_check(o, 100, 100, 3, 1, trivial_set(), table) == 0
+    assert partial_summation_check(o, 100, 100, 3, 1, trivial_set()) == 0
 
 
 def test_partial_summation_examples(table):
     o = dense(one(200), 200, table)
-    resid = partial_summation_check(o, 100, 10, 3, 1, trivial_set(), table)
+    resid = partial_summation_check(o, 100, 10, 3, 1, trivial_set())
     assert resid <= 1e-9
     mu = dense(moebius(200), 200, table)
-    resid2 = partial_summation_check(mu, 150, 10, 5, 2, full_primitive_set(5), table)
+    resid2 = partial_summation_check(mu, 150, 10, 5, 2, full_primitive_set(5))
     assert resid2 <= 1e-9
 
 
 def test_partial_summation_rejects_bad_range(table):
     o = dense(one(200), 200, table)
     with pytest.raises(ParameterError):
-        partial_summation_check(o, 50, 100, 3, 1, trivial_set(), table)
+        partial_summation_check(o, 50, 100, 3, 1, trivial_set())
 
 
 def test_partial_summation_random_tuples(table):
@@ -253,39 +253,39 @@ def test_partial_summation_random_tuples(table):
         a = rng.choice([r for r in range(1, q + 1) if math.gcd(r, q) == 1])
         x = rng.randrange(30, 3000)
         X = rng.uniform(2, x)
-        resid = partial_summation_check(fd, x, X, q, a, rng.choice(xis), table)
+        resid = partial_summation_check(fd, x, X, q, a, rng.choice(xis))
         assert resid <= 1e-8
 
 
-def test_large_sieve_hand_case(table):
-    lhs, rhs, ratio = large_sieve_check([1.0], 3, table)
+def test_large_sieve_hand_case():
+    lhs, rhs, ratio = large_sieve_check([1.0], 3)
     assert lhs == 2.5  # r=1 gives 1, r=2 has no primitive, r=3 gives 3/2
     assert rhs == 10.0
     assert ratio == 0.25
 
 
-def test_large_sieve_zero_coeffs(table):
-    lhs, _rhs, ratio = large_sieve_check([0.0, 0.0, 0.0], 5, table)
+def test_large_sieve_zero_coeffs():
+    lhs, _rhs, ratio = large_sieve_check([0.0, 0.0, 0.0], 5)
     assert lhs == 0 and ratio == 0
 
 
-def test_large_sieve_random_fuzz(table):
+def test_large_sieve_random_fuzz():
     rng = np.random.default_rng(77)
     for _ in range(60):
         N = int(rng.integers(1, 200))
         Q = int(rng.integers(1, 60))
         start = int(rng.integers(0, 50))
         coeffs = rng.normal(size=N) + 1j * rng.normal(size=N)
-        lhs, rhs, ratio = large_sieve_check(coeffs, Q, table, start=start)
+        lhs, rhs, ratio = large_sieve_check(coeffs, Q, start=start)
         assert lhs <= rhs
         assert 0 <= ratio <= 1
 
 
-def test_imaginary_part_guard(table):
+def test_imaginary_part_guard():
     vals = np.zeros(101, dtype=np.complex128)
     vals[1:] = 1.0
     f = ArithFn(values=vals, limit=100, label="one")
-    rep = delta(f, 100, 4, 1, table)
+    rep = delta(f, 100, 4, 1)
     assert rep.delta.imag == 0
 
 
@@ -455,22 +455,22 @@ def test_small_integers_gate(value, integer):
         ("moebius", 400000, 300, XI),
     ],
 )
-def test_bv_sum_matches_copied_kernel(monkeypatch, table, kind, x, Q, xi):
+def test_bv_sum_matches_copied_kernel(monkeypatch, kind, x, Q, xi):
     f = random_table(kind, max(3000, int(x)))
-    got, want = with_copied_kernel(monkeypatch, lambda: bv_sum(f, x, Q, xi, table, threads=2))
+    got, want = with_copied_kernel(monkeypatch, lambda: bv_sum(f, x, Q, xi, threads=2))
     assert repr(got) == repr(want)  # repr round-trips every float
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
-def test_single_modulus_paths_match_copied_kernel(monkeypatch, table, kind):
+def test_single_modulus_paths_match_copied_kernel(monkeypatch, kind):
     f = random_table(kind, 3000)
 
     def compute():
         out = []
         for q in (1, 2, 7, 30, 2500):
             out.append(twisted_sum(f, 2999.5, enumerate_characters(q)[-1]))
-            out.append(delta(f, 2999.5, q, 1, table))
-            out.append(delta_xi(f, 2999.5, q, 1, XI, table))
+            out.append(delta(f, 2999.5, q, 1))
+            out.append(delta_xi(f, 2999.5, q, 1, XI))
         return out
 
     got, want = with_copied_kernel(monkeypatch, compute)
@@ -478,9 +478,9 @@ def test_single_modulus_paths_match_copied_kernel(monkeypatch, table, kind):
 
 
 @pytest.mark.parametrize("kind, xi", [("real", None), ("complex", XI)])
-def test_bv_sum_rows_identical_across_threads(table, kind, xi):
+def test_bv_sum_rows_identical_across_threads(kind, xi):
     f = random_table(kind, 3000)
-    reps = [repr(bv_sum(f, 3000, 300, xi, table, threads=t)) for t in (1, 2, 3)]
+    reps = [repr(bv_sum(f, 3000, 300, xi, threads=t)) for t in (1, 2, 3)]
     assert reps[0] == reps[1] == reps[2]
 
 

@@ -1,0 +1,102 @@
+"""What a refactor keeps: the README's CLI commands at reduced sizes, pinned
+to the sha256 of every output, and the library names the benchmark traces.
+
+A change that moves an output on purpose says why and updates its hash here.
+"""
+
+import hashlib
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+from bvlab.cli import main
+from bvlab.discrepancy import residue_buckets
+
+MU = '{"kind":"builtin","name":"moebius"}'
+ONE = '{"kind":"builtin","name":"one"}'
+# complex at every prime, so bv-sum sweeps complex128 values in several slices
+CM = '{"kind":"cm","primes":{"2":[0.6,0.8],"3":[0,1],"5":[-0.6,0.8]},"default":[0.28,0.96]}'
+XI = "chi:q=1,label=0;chi:q=3,label=1;chi:q=4,label=1"
+
+COMMANDS = [
+    ["sieve-cache", "--limit", "400000", "--out", "sieve.bin"],
+    ["delta", "--f", ONE, "--x", "10", "--q", "3", "--a", "1", "--out", "d.json"],
+    ["delta-xi", "--f", '{"kind":"character","q":3,"label":1}', "--x", "10000",
+     "--q", "3", "--a", "1", "--xi", "chi:q=3,label=1", "--out", "dx.json"],
+    ["bv-sum", "--cache", "sieve.bin", "--f", MU, "--x", "400000", "--Q", "300",
+     "--threads", "2", "--out", "bv.csv"],
+    ["bv-sum", "--cache", "sieve.bin", "--f", CM, "--x", "400000", "--Q", "300",
+     "--xi", XI, "--threads", "2", "--out", "bvcm.csv"],
+    ["sw-profile", "--f", MU, "--q", "3", "--a", "1", "--X-grid", "100,1000,10000",
+     "--A", "2", "--out", "profile.csv"],
+    ["partial-summation", "--f", ONE, "--x", "100", "--X", "10", "--q", "3", "--a", "1",
+     "--out", "ps.json"],
+    ["large-sieve-fuzz", "--trials", "30", "--N-max", "200", "--Q-max", "200", "--seed", "1",
+     "--out", "ls.csv"],
+    ["smooth-split", "--n", "60", "--V0", "3.1622776601683795", "--out", "split.json"],
+    ["assembly-check", "--f", '{"kind":"builtin","name":"one","smooth_y":20}', "--X", "10000",
+     "--y", "20", "--psi", "chi:q=5,label=1", "--out", "asm.json"],
+    ["dyadic-cells", "--X", "10000", "--y", "20", "--V0", "22.360679774997898",
+     "--out", "cells.csv"],
+    ["bilinear-fuzz", "--U", "64", "--V", "64", "--R", "8", "--trials", "20",
+     "--seed", "12345", "--out", "bl.csv"],
+    ["truncation-check", "--f", ONE, "--g", MU, "--x", "10000", "--C", "1.037",
+     "--q", "3", "--a", "1", "--out", "tc.json"],
+    ["counterexample", "--x", "100000", "--gamma", "2", "--out", "ce.json", "--csv", "ce.csv",
+     "--dump-f", "ce_values.npz"],
+    ["lambda-check", "--f", MU, "--limit", "10000", "--out", "l.json"],
+    ["inverse-check", "--f", MU, "--limit", "10000", "--out", "i.json"],
+    ["companion-check", "--f", MU, "--limit", "10000", "--out", "c.json"],
+]
+
+GOLDEN = {
+    "sieve.bin": "5d91549ff70d1e3db92873f501301a054b3e9250add59749df252eb7b4b78b88",
+    "d.json": "06c661d92f864949a02c84dbed8a36ddc1190131d6235661215f343517ad77bf",
+    "dx.json": "52804b14ef209dc6acff3ed5cfc0e02c637c63026ffa087dbeff98cf52612d44",
+    "bv.csv": "b681ff0536a13da8f6edb770ffad16d19825def6252ba189277e3209257a7626",
+    "bvcm.csv": "9fbb1983852c7d78f6be86e3c57d1dcb5cc2006dedb8c337688500ecc536f7cd",
+    "profile.csv": "13a874f1b32156744d3084e60719b299aca0848ddf6a774ace7785a491d5fda7",
+    "ps.json": "62cf8f812dc7e384cdcdf2d9a4c8d5d56f72d904e7bec9feada8815a8f0344a0",
+    "ls.csv": "1d92b4dd889ad0fe0beba0214a2e1426b799244e4bb82967bf6943eeac219155",
+    "split.json": "94888bb6f8eebd752450ca802312c9d2d0a7161cce0c91ff5610cf20fec6963f",
+    "asm.json": "d338e25f9660f16d58b18155a96a8820bd199cd3b56c48a61a4f0c024f17fd1f",
+    "cells.csv": "e49e65dd897694627336d4f4f98a9eb29471ac0faf85ba233f508daa9e20937d",
+    "bl.csv": "bef6e590bf668381da67d89b39d5b218b35fdbea0545e5c166c26abd2982ca13",
+    "tc.json": "62cf8f812dc7e384cdcdf2d9a4c8d5d56f72d904e7bec9feada8815a8f0344a0",
+    "ce.json": "6bff2fbeb9f56def7b561c2df472e8f966ee538c87e2192cc85209da5fece0f5",
+    "ce.csv": "e4ad954e3a51481f53955f923ba02183d9b537366de36e8886fd41ca7e03ef49",
+    "ce_values.npz": "e2f5608799405a64c26af378fa8451d33fb0fbb02925043f575708f17bcd6e27",
+    "l.json": "03c1bd0d9d4cc9a2a7ca6d19e4f0be87a2596a66f33173c640db8b947831be7c",
+    "i.json": "ba2a82e91e6f8571a255cc1b9f1189042c5231e3f9ca7f0d9e6b9520c95414e6",
+    "c.json": "4a22f37fb96809ccfe35730a05fda1e65235681de1ce59c98f8df235a344bdc8",
+}
+
+
+def test_readme_commands_keep_their_bytes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    got = {}
+    for argv in COMMANDS:
+        assert main(argv) == 0, argv
+        for flag in ("--out", "--csv", "--dump-f"):
+            if flag in argv:
+                path = argv[argv.index(flag) + 1]
+                got[path] = hashlib.sha256((tmp_path / path).read_bytes()).hexdigest()
+    capsys.readouterr()
+    assert got == GOLDEN
+
+
+def test_traced_layers_resolve():
+    # bench/runner.py wraps these by name; a missing one only shows as a failed traced run
+    path = Path(__file__).resolve().parent.parent / "bench" / "runner.py"
+    spec = importlib.util.spec_from_file_location("bench_runner", path)
+    runner = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(runner)
+    assert runner.LAYERS
+    for mod_name, attr, _kind, _extras in runner.LAYERS:
+        obj = importlib.import_module("bvlab." + mod_name)
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), (mod_name, attr)
+    # the bytes_in extras read the values and m of residue_buckets positionally
+    assert list(inspect.signature(residue_buckets).parameters)[:2] == ["values", "m"]

@@ -22,7 +22,6 @@ from bvlab.multfun import (
     lambda_seq,
     liouville,
     log_twist,
-    make_multfn,
     moebius,
     one,
     restrict_to_primes,
@@ -67,7 +66,7 @@ def test_evaluate_range_errors(table):
 
 
 def test_class_violation_on_bad_rule(table):
-    f = make_multfn(lambda p, k: 1.5, 100)
+    f = MultFn(lambda p, k: 1.5, 100)
     with pytest.raises(ClassViolationError):
         evaluate(f, 2, table)
 
@@ -152,7 +151,7 @@ def test_class_c_examples(table):
     ok, _ = class_c_check(character_fn(chi, LIMIT), LIMIT, table)
     assert ok
 
-    bad = make_multfn(lambda p, k: 1.0 if k == 1 else -1.0, 100)
+    bad = MultFn(lambda p, k: 1.0 if k == 1 else -1.0, 100)
     ok, witness = class_c_check(bad, 100, table)
     # lambda_f(4) = 2 log2 f(4) - lambda_f(2) f(2) = -3 log 2, beyond log 2.
     assert not ok and witness == 4
@@ -290,7 +289,7 @@ def test_companion_split_examples(table):
     _, gmu = companion_split(mu, 200)
     assert gmu.pp_value(2, 2) == pytest.approx(-1)  # mu(4) - mu(2)^2
 
-    f2 = make_multfn(lambda p, k: 1.0 if k == 1 else 0.5, 200)
+    f2 = MultFn(lambda p, k: 1.0 if k == 1 else 0.5, 200)
     fstar, g2 = companion_split(f2, 200)
     assert g2.pp_value(2, 2) == pytest.approx(-0.5)
     conv = brute_convolve(

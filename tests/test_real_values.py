@@ -54,7 +54,7 @@ def _bases(table, tmp_path):
         "moebius": moebius(LIM),
         "liouville": liouville(LIM),
         "one": one(LIM),
-        "counterexample": counterexample_multfn(plan_counterexample(LIM, 2.0, None, table), table),
+        "counterexample": counterexample_multfn(plan_counterexample(LIM, 2.0, None, table)),
         "cm": parse_function_spec(REAL_CM, LIM, table),
         "table": parse_function_spec(_real_table(str(tmp_path / "t.npz")), LIM, table),
     }
@@ -94,7 +94,7 @@ def test_complex_prime_power_values_keep_the_complex_sweep(table):
 def test_real_builders_are_float64(table):
     spec = plan_counterexample(LIM, 2.0, None, table)
     twist = log_twist(to_arith(one(100), 100, table), 3.0)
-    for g in (script_P_indicator(spec, table), delta_fn(100), twist):
+    for g in (script_P_indicator(spec), delta_fn(100), twist):
         assert g.values.dtype == np.float64 and g.is_real
         # the bucket pass reads the array itself, not a copy
         assert np.shares_memory(bucket_values(g, g.limit), g.values)
