@@ -40,7 +40,6 @@ from .multfun import (
     log_twist,
     moebius,
     one,
-    prime_power_values,
     prime_powers,
     restrict_to_primes,
     smooth_truncation,
@@ -111,7 +110,7 @@ def save_pp_table(f: MultFn, limit: int, table: PrimeTable, path) -> None:
     """Dump f's prime-power values up to limit, p then k, as an npz loadable by "table"."""
     pks, ps, ks = prime_powers(limit, table)
     order = np.lexsort((ks, ps))
-    np.savez(path, prime_powers=pks[order], values=prime_power_values(f, limit, table)[order])
+    np.savez(path, prime_powers=pks[order], values=f.values_at(ps, ks)[order])
 
 
 def parse_function_spec(spec, limit: int, table: PrimeTable):

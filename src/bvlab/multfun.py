@@ -2,9 +2,15 @@
 
 A MultFn is a multiplicative function given by a prime-power rule; values
 at arbitrary n come from the factorization. Its one materialized form is
-the prime-power array: prime_powers enumerates (p^k, p, k) up to a limit
-and prime_power_values reads f at all of them in one values_at call.
-to_arith, lambda_seq and save_pp_table all read that array.
+the prime-power array: prime_powers enumerates (p^k, p, k) up to a limit,
+ascending in p^k, and one values_at call reads f at all of them in that
+order (prime_power_values). to_arith, lambda_seq and save_pp_table each
+make that one call on the arrays of their own prime_powers call.
+
+to_arith forms f(n) = f(n / p^e) f(p^e), p^e the spf-power part of n, and
+finds p^e with a sieve over each block of n: writing p's powers ascending,
+largest p first, leaves spf(n)'s. p^e divides n < 2^53, so the float64
+quotient n / p^e is exact.
 
 There are two kinds of rule. The library's functions (builtins,
 characters, completely multiplicative functions, tables, inverses,
@@ -293,7 +299,7 @@ def _cmul(a, b):
     return np.array([a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]])
 
 
-_BLOCK = 1 << 18  # largest gather pass of to_arith, in values
+_BLOCK = 1 << 18  # largest block of to_arith, in values
 
 
 def to_arith(f: MultFn, limit: int, table: PrimeTable) -> ArithFn:
@@ -304,6 +310,14 @@ def to_arith(f: MultFn, limit: int, table: PrimeTable) -> ArithFn:
     each block is one gather from earlier ones, with the operands and order
     of a scalar sweep over n: the values are those of Python complex math.
 
+    Each block finds the index of p^e among the prime powers with a sieve
+    of its own. The prime powers in the block take their own indices; then
+    each p^k with p <= sqrt(hi) is written at its multiples, largest p
+    first and each p's powers ascending. A composite n has spf(n) <=
+    sqrt(n), so its last write is from its spf, and from the largest power
+    of it that divides n. n / p^e is then an exact quotient in float64,
+    because p^e divides n < 2^53.
+
     When every prime-power value has a zero imaginary part, the sweep runs
     on one float64 array. Its values are the complex sweep's real parts up
     to the sign of zeros: a*c where the complex product forms a*c - b*d,
@@ -311,34 +325,35 @@ def to_arith(f: MultFn, limit: int, table: PrimeTable) -> ArithFn:
     """
     if limit > f.limit:
         raise OutOfRangeError(f"limit={limit} exceeds function limit {f.limit}")
-    pks, ps, _ks = prime_powers(limit, table)
-    pv = prime_power_values(f, limit, table)
+    pks, ps, ks = prime_powers(limit, table)
+    pv = f.values_at(ps, ks)
     real = not pv.imag.any()
-    # pos[n]: index in pks of the spf-power part of n; nxt[i]: index of
-    # pks[i] * ps[i], meaningful while that is <= limit
-    pos = np.zeros(limit + 1, dtype=np.int32)
-    pos[pks] = np.arange(len(pks), dtype=np.int32)
-    nxt = np.searchsorted(pks, pks * ps).astype(np.int32)
+    pkf = pks.astype(np.float64)
+    # the sieve's prime powers: p <= sqrt(limit), p descending, k ascending
+    small = np.flatnonzero(ps <= math.isqrt(limit))
+    small = small[np.lexsort((ks[small], -ps[small]))]
+    sieve = list(zip(ps[small].tolist(), pks[small].tolist(), small.tolist()))
     vals = np.zeros(limit + 1, dtype=np.float64 if real else np.complex128)
-    re, im = vals.real, None if real else vals.imag
-    if limit >= 1:
-        re[1] = 1.0
-    spf = table.spf
+    vals[1:2] = 1.0
+    seg = np.empty(min(limit, _BLOCK), dtype=np.intp)
     lo = 2
     while lo <= limit:
         hi = min(2 * lo, lo + _BLOCK, limit + 1)
-        n = np.arange(lo, hi)
-        p = spf[lo:hi].astype(np.int64)
-        m = n // p
-        i = pos[p]
-        same = m % p == 0
-        i[same] = nxt[pos[m[same]]]
-        pos[lo:hi] = i
-        rest = n // pks[i]
+        i = seg[: hi - lo]
+        a, b = np.searchsorted(pks, (lo, hi)).tolist()
+        i[pks[a:b] - lo] = np.arange(a, b)
+        top = math.isqrt(hi - 1)
+        for p, pk, j in sieve:
+            if p <= top and pk < hi:
+                i[-lo % pk :: pk] = j
+        rest = (np.arange(lo, hi, dtype=np.float64) / pkf[i]).astype(np.intp)
         if real:
-            re[lo:hi] = re[rest] * pv.real[i]
+            np.multiply(vals[rest], pv.real[i], out=vals[lo:hi])
         else:
-            re[lo:hi], im[lo:hi] = _cmul((re[rest], im[rest]), (pv.real[i], pv.imag[i]))
+            # _cmul's products and sums, on the same operands in the same order
+            v, c = vals[rest], pv[i]
+            vals.real[lo:hi] = v.real * c.real - v.imag * c.imag
+            vals.imag[lo:hi] = v.real * c.imag + v.imag * c.real
         lo = hi
     return ArithFn(values=vals, limit=limit, label=f.label)
 
@@ -454,7 +469,7 @@ def lambda_seq(f: MultFn, limit: int, table: PrimeTable) -> LambdaSeq:
     with each product and |.| formed as Python's scalar complex math forms it.
     """
     pks, ps, ks = prime_powers(limit, table)
-    fv = prime_power_values(f, limit, table)
+    fv = f.values_at(ps, ks)
     logp = np.array([math.log(p) for p in ps.tolist()])
     vals = np.zeros(limit + 1, dtype=np.complex128)
     fs = []  # fs[j - 1]: (re, im) of f(p^j) over the primes with p^j <= limit

@@ -10,7 +10,8 @@ import math
 import numpy as np
 
 from bvlab.characters import primitive_value_matrix
-from bvlab.multfun import MultFn, prime_power_values, prime_powers
+from bvlab.errors import OutOfRangeError
+from bvlab.multfun import _BLOCK, ArithFn, MultFn, _cmul, prime_power_values, prime_powers
 
 
 def trial_division(n):
@@ -112,6 +113,47 @@ def complex_to_arith(f, limit, table):
         re[lo:hi], im[lo:hi] = a * c - b * d, a * d + b * c
         lo = hi
     return vals
+
+
+def spf_sweep_to_arith(f, limit, table):
+    """to_arith as bvlab computed it before each block sieved its own prime powers.
+
+    The index of each n's spf-power part comes from table.spf and a dense
+    int32 array pos over 0..limit, with int64 divisions and a mask scatter
+    per block; the values are to_arith's, to compare byte for byte.
+    """
+    if limit > f.limit:
+        raise OutOfRangeError(f"limit={limit} exceeds function limit {f.limit}")
+    pks, ps, _ks = prime_powers(limit, table)
+    pv = prime_power_values(f, limit, table)
+    real = not pv.imag.any()
+    # pos[n]: index in pks of the spf-power part of n; nxt[i]: index of
+    # pks[i] * ps[i], meaningful while that is <= limit
+    pos = np.zeros(limit + 1, dtype=np.int32)
+    pos[pks] = np.arange(len(pks), dtype=np.int32)
+    nxt = np.searchsorted(pks, pks * ps).astype(np.int32)
+    vals = np.zeros(limit + 1, dtype=np.float64 if real else np.complex128)
+    re, im = vals.real, None if real else vals.imag
+    if limit >= 1:
+        re[1] = 1.0
+    spf = table.spf
+    lo = 2
+    while lo <= limit:
+        hi = min(2 * lo, lo + _BLOCK, limit + 1)
+        n = np.arange(lo, hi)
+        p = spf[lo:hi].astype(np.int64)
+        m = n // p
+        i = pos[p]
+        same = m % p == 0
+        i[same] = nxt[pos[m[same]]]
+        pos[lo:hi] = i
+        rest = n // pks[i]
+        if real:
+            re[lo:hi] = re[rest] * pv.real[i]
+        else:
+            re[lo:hi], im[lo:hi] = _cmul((re[rest], im[rest]), (pv.real[i], pv.imag[i]))
+        lo = hi
+    return ArithFn(values=vals, limit=limit, label=f.label)
 
 
 def one_pass_convolution(fv, gv, cut, limit):

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from bvlab.characters import (
-    CharacterSet,
     enumerate_characters,
     full_primitive_set,
     trivial_set,
@@ -30,7 +29,6 @@ from bvlab.decomposition import (
     truncation_difference_check,
 )
 from bvlab.discrepancy import (
-    bv_sum,
     delta,
     delta_xi,
     large_sieve_check,
@@ -71,12 +69,12 @@ def report(num, text):
 
 
 @pytest.fixture(scope="module")
-def cm_family(table_1e4):
+def cm_family():
     return seeded_family(FAMILY_SEED, 100, LIMIT, kind="cm")
 
 
 @pytest.fixture(scope="module")
-def mixed_family(table_1e4):
+def mixed_family():
     return seeded_family(FAMILY_SEED + 1, 50, LIMIT, kind="cm") + seeded_family(
         FAMILY_SEED + 2, 50, LIMIT, kind="class-c"
     )

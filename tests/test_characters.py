@@ -1,10 +1,9 @@
 import math
 import random
-from itertools import product
 
 import pytest
 
-from bvlab import ParameterError, euler_phi
+from bvlab import ParameterError
 from bvlab.characters import (
     CharacterSet,
     enumerate_characters,
@@ -189,7 +188,7 @@ def test_primitive_count_formula():
         assert len(prims) == expected, q
 
 
-def test_induced_set_examples(table_1e4):
+def test_induced_set_examples():
     xi = trivial_set()
     got = induced_set(xi, 7)
     assert len(got) == 1 and got[0].is_principal and got[0].modulus == 7

@@ -6,7 +6,6 @@ import pytest
 from bvlab import DomainError, ParameterError
 from bvlab.characters import enumerate_characters, full_primitive_set, trivial_set
 from bvlab.decomposition import (
-    DyadicCell,
     bilinear_ls_eval,
     cell_covers,
     dyadic_cells,
@@ -176,7 +175,7 @@ def test_dyadic_cells_cover_desk_scale(table):
     print(f"dyadic cell count at X={X}, y={y}: {len(cells)}")
 
 
-def test_dyadic_cells_invariants(table):
+def test_dyadic_cells_invariants():
     X, y, V0 = 10**4, 20, math.sqrt(10**4 / 20)
     for c in dyadic_cells(X, y, V0):
         assert c.U * c.V <= X

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bvlab import InvariantViolationError, ParameterError, discrepancy
+from bvlab import ParameterError, discrepancy
 from bvlab.characters import (
     CharacterSet,
     enumerate_characters,

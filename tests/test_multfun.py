@@ -1,4 +1,3 @@
-import cmath
 import math
 from concurrent.futures import ThreadPoolExecutor
 
