@@ -18,6 +18,10 @@ ONE = '{"kind":"builtin","name":"one"}'
 # complex at every prime, so bv-sum sweeps complex128 values in several slices
 CM = '{"kind":"cm","primes":{"2":[0.6,0.8],"3":[0,1],"5":[-0.6,0.8]},"default":[0.28,0.96]}'
 XI = "chi:q=1,label=0;chi:q=3,label=1;chi:q=4,label=1"
+LIOUVILLE = '{"kind":"builtin","name":"liouville"}'
+# real functions restricted to the primes, one of them log-twisted
+MU_P = '{"kind":"builtin","name":"moebius","restrict":"primes"}'
+LIOUVILLE_P_LOG = '{"kind":"builtin","name":"liouville","restrict":"primes","log_twist":400000}'
 
 COMMANDS = [
     ["sieve-cache", "--limit", "400000", "--out", "sieve.bin"],
@@ -48,6 +52,14 @@ COMMANDS = [
     ["lambda-check", "--f", MU, "--limit", "10000", "--out", "l.json"],
     ["inverse-check", "--f", MU, "--limit", "10000", "--out", "i.json"],
     ["companion-check", "--f", MU, "--limit", "10000", "--out", "c.json"],
+    ["bv-sum", "--cache", "sieve.bin", "--f", MU_P, "--x", "400000", "--Q", "300",
+     "--out", "bvp.csv"],
+    ["bv-sum", "--cache", "sieve.bin", "--f", LIOUVILLE_P_LOG, "--x", "400000", "--Q", "300",
+     "--xi", XI, "--threads", "2", "--out", "bvlp.csv"],
+    ["partial-summation", "--cache", "sieve.bin", "--f", MU_P, "--x", "99999.7", "--X", "1000.5",
+     "--q", "5", "--a", "1", "--xi", "chi:q=5,label=1;chi:q=5,label=2", "--out", "psp.json"],
+    ["inverse-check", "--f", LIOUVILLE, "--limit", "10000", "--out", "il.json"],
+    ["companion-check", "--f", LIOUVILLE, "--limit", "10000", "--out", "cl.json"],
 ]
 
 GOLDEN = {
@@ -70,6 +82,11 @@ GOLDEN = {
     "l.json": "03c1bd0d9d4cc9a2a7ca6d19e4f0be87a2596a66f33173c640db8b947831be7c",
     "i.json": "ba2a82e91e6f8571a255cc1b9f1189042c5231e3f9ca7f0d9e6b9520c95414e6",
     "c.json": "4a22f37fb96809ccfe35730a05fda1e65235681de1ce59c98f8df235a344bdc8",
+    "bvp.csv": "4ce711609239724078c914b1f9cebdc416e39d75fed413ad28d31efee670985d",
+    "bvlp.csv": "efc688cbb27ea83c31b1b3e5d2d8e06d5bda8756c0f915aeeb65014c3a0dda8e",
+    "psp.json": "f99c41571702b21a5718498b79a15b222238decbd68ade09a5cc527fca9890c2",
+    "il.json": "ba2a82e91e6f8571a255cc1b9f1189042c5231e3f9ca7f0d9e6b9520c95414e6",
+    "cl.json": "fca533fd5407f5b0760ccd7abebab88d8e2a20f59de04cac0ff8d525976edb4a",
 }
 
 
