@@ -10,10 +10,9 @@ block of 64 moduli.
 Numerical policy: bucket sums and twisted sums reuse the same masked
 arrays, so the plain path and the Xi = {1} path produce bit-identical
 results, which the suite checks. Only the O(m) reduction into buckets runs
-in float64, for real f and q >= 2: its rows are added one after another,
-which rounds the real parts exactly as the complex reduction does. A
-float64 ArithFn is read in place, contiguously; a real complex128 one
-through its strided real parts. The q-long bucket vector is widened to
+in float64, for real f (a float64 ArithFn, read in place) and q >= 2: its
+rows are added one after another, which rounds the real parts exactly as
+the complex reduction does. The q-long bucket vector is widened to
 complex128 before anything reads it, so the character sums and the
 division by phi(q) stay complex. At q = 1 the reduction is one pairwise
 sum, whose blocks differ between float64 and complex128, so it runs in
@@ -67,11 +66,6 @@ from .errors import InvariantViolationError, OutOfRangeError, ParameterError
 from .multfun import ArithFn
 
 _IMAG_TOL = 1e-9
-
-
-def bucket_values(f: ArithFn, m: int) -> np.ndarray:
-    """A view of f.values[0..m] for residue_buckets: float64 as it is, or a real f's real parts."""
-    return f.values[: m + 1].real if f.is_real else f.values[: m + 1]
 
 
 # Slice length of one sweep in residue_buckets: half of a 2 MB per-core L2,
@@ -139,7 +133,7 @@ def residue_buckets(values: np.ndarray, m: int, qs: Sequence[int]) -> list[np.nd
 
     Each b_q sums the full rows of q values in order from row 0, then adds
     the partial last row, padded with zeros to q entries. Float64 `values`
-    (bucket_values of a real f) are reduced in float64, except at q = 1.
+    (those of a real f) are reduced in float64, except at q = 1.
     Several moduli share one sweep over `values` in slices; see the
     numerical policy above. Int32 `values` of size <= _INT_BOUND (such as
     small_integers of float64 ones) are summed exactly in wide rows, with
@@ -233,7 +227,7 @@ def twisted_sum(f: ArithFn, x: float, chi: DirichletCharacter) -> complex:
     if m > f.limit:
         raise OutOfRangeError(f"x={x} exceeds function limit {f.limit}")
     q = chi.modulus
-    b = residue_buckets(bucket_values(f, m), m, (q,))[0]
+    b = residue_buckets(f.values[: m + 1], m, (q,))[0]
     rs = _coprime_residues(q)
     cv = chi.residue_values()
     return complex(np.sum(np.conj(cv[rs]) * b[rs]))
@@ -250,7 +244,7 @@ def plain_delta(b: np.ndarray, q: int, a: int) -> tuple[complex, complex, comple
 def delta(f: ArithFn, x: float, q: int, a: int) -> DiscrepancyReport:
     """Plain discrepancy: progression sum minus coprime average."""
     m = _check_args(f, x, q, a)
-    prog, cop, d = plain_delta(residue_buckets(bucket_values(f, m), m, (q,))[0], q, a)
+    prog, cop, d = plain_delta(residue_buckets(f.values[: m + 1], m, (q,))[0], q, a)
     if f.is_real and abs(d.imag) > _IMAG_TOL:
         raise InvariantViolationError(
             f"real-valued input produced delta with imaginary part {d.imag}"
@@ -271,7 +265,7 @@ def delta(f: ArithFn, x: float, q: int, a: int) -> DiscrepancyReport:
 def delta_xi(f: ArithFn, x: float, q: int, a: int, xi: CharacterSet) -> DiscrepancyReport:
     """Xi-corrected discrepancy: subtract (1/phi) sum_{chi in Xi_q} chi(a) S_f(x, chi)."""
     m = _check_args(f, x, q, a)
-    b = residue_buckets(bucket_values(f, m), m, (q,))[0]
+    b = residue_buckets(f.values[: m + 1], m, (q,))[0]
     prog, cop, _ = plain_delta(b, q, a)
     rs = _coprime_residues(q)
     # Scalar arithmetic sticks to Python complex: numpy's complex division
@@ -346,11 +340,11 @@ def bv_sum(
         raise ParameterError(f"Q must be >= 1, got {Q}")
     if Q > x:
         raise ParameterError(f"Q={Q} exceeds x={x}")
-    # every modulus reads the values, so one contiguous copy (none for float64)
-    # pays for itself, and so does an int32 copy of integer values
-    values = bucket_values(f, m)
+    # every modulus reads the values, so an int32 copy of integer values pays for itself
+    values = f.values[: m + 1]
     ints = small_integers(values)
-    values = np.ascontiguousarray(values) if ints is None else ints
+    if ints is not None:
+        values = ints
     parts = chunked_map(lambda qs: _bv_rows_for(values, m, qs, xi), range(1, Q + 1), 64, threads)
     rows = [row for part in parts for row in part]
     total = 0.0

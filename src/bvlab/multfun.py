@@ -21,11 +21,11 @@ caller may pass to MultFn, is called once per prime power and memoized.
 
 An ArithFn is a dense value array for non-multiplicative objects
 (restrictions to primes, log twists, convolutions) and for feeding the
-discrepancy machinery, which wants whole arrays anyway. Real functions are
-float64 from the moment they are built: to_arith sweeps in float64 when
-every prime-power value is real, delta_fn and the counterexample's
-script_P_indicator are float64, and log_twist keeps float64. Everything
-else is complex128.
+discrepancy machinery, which wants whole arrays anyway. It is float64
+exactly when its values are real, built so from the start: to_arith,
+restrict_to_primes and the convolutions work in float64 on real values,
+delta_fn and script_P_indicator are float64, and log_twist keeps float64.
+Everything else is complex128.
 
 The log-derivative coefficients lambda_f live on prime powers and satisfy
 the triangular recursion  k*log(p)*f(p^k) = sum_{j=1..k} lambda_f(p^j)
@@ -233,8 +233,8 @@ def evaluate(f: MultFn, n: int, table: PrimeTable) -> complex:
 class ArithFn:
     """Dense values for 0..limit (index 0 unused, kept at 0).
 
-    A float64 array is kept as float64, a real function; any other dtype
-    becomes complex128. The array is treated as immutable after construction.
+    float64 exactly when the values are real, whatever the input dtype;
+    else complex128. The array is treated as immutable after construction.
     """
 
     values: np.ndarray
@@ -246,18 +246,17 @@ class ArithFn:
             raise ParameterError(
                 f"values must have length limit+1={self.limit + 1}, got {self.values.shape}"
             )
-        dtype = np.float64 if self.values.dtype == np.float64 else np.complex128
+        real = not (np.iscomplexobj(self.values) and self.values.imag.any())
+        v = self.values.real if real else self.values  # of a complex array: strided, copied
+        dtype = np.float64 if real else np.complex128
         # copy only to change the array: a caller's array is never written
-        if self.values.dtype != dtype or self.values[0] != 0:
-            self.values = self.values.astype(dtype)
+        if v.dtype != dtype or not v.flags.c_contiguous or v[0] != 0:
+            self.values = v.astype(dtype)
             self.values[0] = 0
-        self._is_real: Optional[bool] = True if dtype == np.float64 else None
 
     @property
     def is_real(self) -> bool:
-        if self._is_real is None:
-            self._is_real = bool(np.all(self.values.imag == 0))
-        return self._is_real
+        return self.values.dtype == np.float64
 
 
 def prime_powers(limit: int, table: PrimeTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -368,9 +367,10 @@ def _divisor_sweep(fv: np.ndarray, gv: np.ndarray, cut: int, limit: int) -> np.n
     for a fixed n, descending e is ascending d, so each h(n) gets the same
     terms in the same order as a sweep over all d, and the same bits.
     Zero f(d) in pass 1 and zero g(e) in pass 2 are skipped: h never holds
-    -0.0, so adding a signed zero would leave it unchanged.
+    -0.0, so adding a signed zero would leave it unchanged, and real
+    operands sweep in float64 with the complex sweep's real parts as bits.
     """
-    h = np.zeros(limit + 1, dtype=np.complex128)
+    h = np.zeros(limit + 1, dtype=np.result_type(fv, gv))
     cut = max(cut, 0)
     t = min(math.isqrt(limit), cut)
     for d in range(1, t + 1):
@@ -520,9 +520,11 @@ def restrict_to_primes(f: MultFn, table: PrimeTable, limit: int) -> ArithFn:
     """f * 1_P: the values of f at primes up to limit, zero elsewhere."""
     if limit > table.limit:
         raise OutOfRangeError(f"limit={limit} exceeds table limit {table.limit}")
-    vals = np.zeros(limit + 1, dtype=np.complex128)
     ps = table.primes[table.primes <= limit].astype(np.int64)
-    vals[ps] = f.values_at(ps, np.ones_like(ps))
+    pv = f.values_at(ps, np.ones_like(ps))
+    pv = pv if pv.imag.any() else pv.real
+    vals = np.zeros(limit + 1, dtype=pv.dtype)
+    vals[ps] = pv
     return ArithFn(values=vals, limit=limit, label=f"{f.label}|primes")
 
 

@@ -146,7 +146,11 @@ def test_derived(table, base, derive):
 def test_restrict_to_primes(table, base):
     lib_base, ref_base = _bases()[base]
     got = restrict_to_primes(lib_base(), table, LIM).values
-    assert got.tobytes() == scalar_restrict_to_primes(ref_base(), table.primes, LIM).tobytes()
+    want = scalar_restrict_to_primes(ref_base(), table.primes, LIM)
+    if not want.imag.any():  # a real function is float64: the oracle's real parts
+        want = want.real
+    assert got.dtype == (np.float64 if base == "moebius" else np.complex128)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 # sha256 of prime_power_values(derived(fresh family), 10^5) as the scalar

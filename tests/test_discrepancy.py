@@ -14,7 +14,6 @@ from bvlab.characters import (
     trivial_set,
 )
 from bvlab.discrepancy import (
-    bucket_values,
     bv_sum,
     delta,
     delta_xi,
@@ -317,7 +316,6 @@ def with_copied_kernel(monkeypatch, compute):
         return [copied_residue_buckets(v, m, q) for q in qs]
 
     with monkeypatch.context() as mp:
-        mp.setattr(discrepancy, "bucket_values", lambda f, m: f.values[: m + 1])
         mp.setattr(discrepancy, "residue_buckets", copied)
         mp.setattr(discrepancy, "small_integers", lambda v: None)
         want = compute()
@@ -334,7 +332,7 @@ def test_residue_buckets_match_copied_kernel(kind):
     # at m = 4 * 10^5 one call sweeps >= 3 slices of float64 and >= 6 of complex128
     f = random_table(kind, 400000)
     for m in (3000, 2999, 1234, 400000, 399999):
-        view = bucket_values(f, m)
+        view = f.values[: m + 1]
         assert view.dtype == (np.float64 if kind == "real" else np.complex128)
         divisors = [q for q in range(130, 10000) if (m + 1) % q == 0]
         small = sorted({*range(1, 130), *range(480, 544), 997, *divisors})

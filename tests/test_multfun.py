@@ -253,14 +253,18 @@ def _conv_operands(kind, limit, table):
 @pytest.mark.parametrize("lim", [1, 2, 3, 8, 9, 10, 99, 100, 101, 9999, 10**4, 10**4 + 1])
 def test_convolutions_match_one_pass_sweep_bytes(table_1e5, kind, lim):
     f, g = _conv_operands(kind, lim, table_1e5)
-    want = one_pass_convolution(f.values, g.values, lim, lim)
-    assert dirichlet_convolve(f, g, lim).values.tobytes() == want.tobytes()
+
+    def assert_sweep(got, cut):
+        want = one_pass_convolution(f.values, g.values, cut, lim)
+        if not want.imag.any():  # a real h is float64: the oracle's real parts
+            want = want.real
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), cut
+        assert kind != "real" or got.dtype == np.float64
+
+    assert_sweep(dirichlet_convolve(f, g, lim).values, lim)
     t = math.isqrt(lim)
     for cutoff in (-1, 0.5, 1, t - 1, t, t + 1, lim / 2, lim, 2 * lim):
-        cut = min(math.floor(cutoff), lim)
-        want = one_pass_convolution(f.values, g.values, cut, lim)
-        got = truncated_convolution(f, g, cutoff, lim).values
-        assert got.tobytes() == want.tobytes(), cutoff
+        assert_sweep(truncated_convolution(f, g, cutoff, lim).values, min(math.floor(cutoff), lim))
 
 
 def test_convolutions_match_one_pass_sweep_bytes_large():
@@ -359,7 +363,7 @@ def test_arithfn_leaves_the_callers_array_alone():
     v = np.array([5, 1, 2], complex)
     f = ArithFn(values=v, limit=2)
     assert v[0] == 5 and f.values[0] == 0 and f.values is not v
-    w = np.array([0, 1, 2], complex)
+    w = np.array([0, 1, 2j], complex)
     assert ArithFn(values=w, limit=2).values is w  # nothing to change: no copy
     r = np.array([7.0, 1.0, 2.0])
     g = ArithFn(values=r, limit=2)

@@ -13,7 +13,8 @@ import pytest
 
 from bvlab.cli import _jdump, _report_obj
 from bvlab.counterexample import counterexample_multfn, plan_counterexample, script_P_indicator
-from bvlab.discrepancy import bucket_values, delta, residue_buckets
+from bvlab import discrepancy
+from bvlab.discrepancy import bv_sum, delta, residue_buckets
 from bvlab.funcspec import parse_function_spec
 from bvlab.multfun import (
     ArithFn,
@@ -80,7 +81,7 @@ def test_float64_sweep_is_the_real_part_of_the_complex_one(table, tmp_path, base
     primes = table.primes[table.primes <= LIM]
     at_primes = np.zeros(LIM + 1)
     at_primes[primes] = got.values[primes]
-    assert r.is_real and _zeros_unsigned(r.values.real) == _zeros_unsigned(at_primes)
+    assert r.values.dtype == np.float64 and _zeros_unsigned(r.values) == _zeros_unsigned(at_primes)
 
 
 def test_complex_prime_power_values_keep_the_complex_sweep(table):
@@ -91,20 +92,45 @@ def test_complex_prime_power_values_keep_the_complex_sweep(table):
     assert got.values.tobytes() == complex_to_arith(f, LIM, table).tobytes()
 
 
-def test_real_builders_are_float64(table):
+def test_real_builders_are_float64(table, monkeypatch):
     spec = plan_counterexample(LIM, 2.0, None, table)
     twist = log_twist(to_arith(one(100), 100, table), 3.0)
+    handed = []
+    buckets = discrepancy.residue_buckets
+
+    def record(values, m, qs):
+        handed.append(values)
+        return buckets(values, m, qs)
+
+    monkeypatch.setattr(discrepancy, "residue_buckets", record)
+    # integer values take the int32 path, a copy by design; this is about the float path
+    monkeypatch.setattr(discrepancy, "small_integers", lambda v: None)
     for g in (script_P_indicator(spec), delta_fn(100), twist):
         assert g.values.dtype == np.float64 and g.is_real
+        handed.clear()
+        bv_sum(g, g.limit, 3)
         # the bucket pass reads the array itself, not a copy
-        assert np.shares_memory(bucket_values(g, g.limit), g.values)
+        assert handed and all(np.shares_memory(v, g.values) for v in handed)
+
+
+def test_real_complex_values_are_stored_as_float64():
+    v = np.array([0, -0.5, -0.0, 1.5, 0.25]) + 1j * np.array([0, 0.0, -0.0, -0.0, 0.0])
+    f = ArithFn(values=v, limit=4)
+    assert f.values.dtype == np.float64 and f.is_real and f.values.flags.c_contiguous
+    assert f.values.tobytes() == v.real.tobytes()
+    assert v.dtype == np.complex128  # the caller's array is left alone
+    g = ArithFn(values=v + 1e-300j, limit=4)
+    assert g.values.dtype == np.complex128 and not g.is_real
 
 
 def test_log_twist_rounds_as_the_complex_division(table):
     fd = to_arith(liouville(5000), 5000, table)
-    wide = ArithFn(values=fd.values.astype(np.complex128), limit=5000)
+    # log_twist's complex branch in numpy: an ArithFn would store these real values as float64
+    logs = np.zeros(5001)
+    logs[1:] = np.log(np.arange(1, 5001))
+    wide = fd.values.astype(np.complex128) * logs
     for X in (1.0, 3.0, math.log(1000), math.log(7.3)):
-        got, want = log_twist(fd, X).values, log_twist(wide, X).values
+        got, want = log_twist(fd, X).values, wide / X
         assert got.dtype == np.float64
         assert _zeros_unsigned(got) == _zeros_unsigned(want.real)
 
@@ -122,8 +148,8 @@ def test_delta_reports_match_the_complex_sweep(table, make):
     old = ArithFn(values=complex_to_arith(f, 200, table), limit=200, label=f.label)
     for x in range(2, 201):
         for q in range(1, 61):
-            b_new = residue_buckets(bucket_values(new, x), x, (q,))[0]
-            b_old = residue_buckets(bucket_values(old, x), x, (q,))[0]
+            b_new = residue_buckets(new.values[: x + 1], x, (q,))[0]
+            b_old = residue_buckets(old.values[: x + 1], x, (q,))[0]
             assert b_new.tobytes() == b_old.tobytes(), (x, q)
             if x > 40:
                 continue
