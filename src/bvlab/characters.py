@@ -209,10 +209,8 @@ class DirichletCharacter:
         return (t % L, L)
 
     def value(self, n: int) -> complex:
-        tl = self.value_exact(n)
-        if tl is None:
-            return 0j
-        return complex(self.group.roots[tl[0]])
+        """chi(n), read from residue_values."""
+        return complex(self.residue_values()[n % self.modulus])
 
     def residue_values(self) -> np.ndarray:
         """chi on residues 0..q-1 as a complex vector (0 on non-units)."""
