@@ -15,6 +15,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -196,6 +197,18 @@ def _resolve(args: argparse.Namespace, keys: list[str]) -> None:
         raise ConfigError(f"missing required parameter(s): {', '.join(missing)}")
     for name, value in params.items():
         setattr(args, name.replace("-", "_"), None if value is None else _typed(name, value))
+
+
+def _check_outputs(args: argparse.Namespace) -> None:
+    """Each output path names a file in an existing directory; checked before the work."""
+    for path in (args.out, getattr(args, "csv", None), getattr(args, "dump_f", None)):
+        if path is not None and not (
+            isinstance(path, str)
+            and path
+            and os.path.isdir(os.path.dirname(path) or ".")
+            and not os.path.isdir(path)
+        ):
+            raise ConfigError(f"output {path!r} is not a file in an existing directory")
 
 
 def _get_table(args: argparse.Namespace, needed_limit: int):
@@ -526,6 +539,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         _resolve(args, keys)
+        _check_outputs(args)
         extra, table = handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

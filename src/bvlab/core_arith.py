@@ -170,8 +170,11 @@ def load_prime_table(path) -> PrimeTable:
     The table is then rebuilt and compared with the payload entry by entry;
     the first differing spf[n] is reported.
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ParameterError(f"{path}: cannot read sieve cache: {exc}") from exc
     if blob[:6] != _CACHE_MAGIC:
         raise ParameterError(f"{path}: not a sieve cache (bad magic)")
     if len(blob) < 14:

@@ -70,8 +70,10 @@ def plan_counterexample(
     if Q < 1:
         raise ParameterError(f"Q must be >= 1, got {Q}")
     logx = math.log(x)
-    y = x / logx**gamma
-    z = 2 * logx**gamma
+    try:
+        y, z = x / logx**gamma, 2 * logx**gamma
+    except (OverflowError, ZeroDivisionError):
+        raise ParameterError(f"(log x)^gamma = {logx:g}^{gamma:g} is out of float range") from None
     if y / 2 < 2:
         raise ParameterError(f"y/2={y / 2:g} < 2: x too small for gamma={gamma}")
     if y > table.limit or 2 * Q > table.limit:

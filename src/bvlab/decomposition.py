@@ -246,8 +246,11 @@ def truncation_difference_check(
         raise ParameterError(f"x={x} must be > 1, so that log x > 0")
     if math.gcd(a, q) != 1:
         raise ParameterError(f"residue a={a} is not coprime to q={q}")
-    L = math.log(x) ** C
-    y = x / L
+    try:
+        L = math.log(x) ** C
+        y = x / L
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError(f"(log x)^C = {math.log(x):g}^{C:g} is out of float range") from None
     if y < L * L:
         raise DomainError(
             f"y={y:g} < (log x)^(2C)={L * L:g}: the two truncation tails overlap "

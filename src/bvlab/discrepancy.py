@@ -361,9 +361,12 @@ def sw_profile(
         raise ParameterError(f"every X must be > 1, got {list(X_grid)}")
     out = []
     for X in X_grid:
-        rep = delta(f, X, q, a)
-        ab = abs(rep.delta)
-        out.append((float(X), ab, ab * math.log(X) ** A / X))
+        try:
+            scale = math.log(X) ** A
+        except OverflowError:
+            raise ParameterError(f"(log X)^A = {math.log(X):g}^{A:g} overflows a float") from None
+        ab = abs(delta(f, X, q, a).delta)
+        out.append((float(X), ab, ab * scale / X))
     return out
 
 

@@ -107,10 +107,14 @@ def _load_pp_table(path: str, limit: int) -> MultFn:
 
 
 def save_pp_table(f: MultFn, limit: int, table: PrimeTable, path) -> None:
-    """Dump f's prime-power values up to limit, p then k, as an npz loadable by "table"."""
+    """Dump f's prime-power values up to limit, p then k, as an npz loadable by "table".
+
+    The file is written at `path` as given: np.savez would add ".npz" to a name without it.
+    """
     pks, ps, ks = prime_powers(limit, table)
     order = np.lexsort((ks, ps))
-    np.savez(path, prime_powers=pks[order], values=f.values_at(ps, ks)[order])
+    with open(path, "wb") as fh:
+        np.savez(fh, prime_powers=pks[order], values=f.values_at(ps, ks)[order])
 
 
 def parse_function_spec(spec, limit: int, table: PrimeTable):

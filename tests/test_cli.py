@@ -335,6 +335,20 @@ MU = '{"kind":"builtin","name":"moebius"}'
         (["smooth-split", "--n", "1", "--V0", "0.5"], 3),
         (["smooth-split", "--n", "6", "--V0", "0.5"], 3),
         (["truncation-check", "--f", MU, "--g", MU, "--x", "1", "--C", "1", "--q", "3", "--a", "1"], 3),
+        # an output in a missing directory, or an existing directory: exit 2, before the work
+        (["sieve-cache", "--limit", "100", "--out", "no_such_dir/s.bin"], 2),
+        (["sieve-cache", "--limit", "100", "--out", "."], 2),
+        (["counterexample", "--x", "5000", "--gamma", "2", "--csv", "no_such_dir/c.csv"], 2),
+        (["counterexample", "--x", "5000", "--gamma", "2", "--dump-f", "no_such_dir/f.npz"], 2),
+        # a sieve cache that is missing or a directory: exit 3, like an unreadable table
+        (["delta", "--f", MU, "--x", "100", "--q", "3", "--a", "1", "--cache", "missing.bin"], 3),
+        (["delta", "--f", MU, "--x", "100", "--q", "3", "--a", "1", "--cache", "."], 3),
+        # (log x)^gamma, (log x)^C or (log X)^A out of float range: exit 3
+        (["counterexample", "--x", "5000", "--gamma", "400"], 3),
+        (["counterexample", "--x", "5000", "--gamma=-1e3"], 3),
+        (["truncation-check", "--f", MU, "--g", MU, "--x", "10000", "--C", "400", "--q", "3",
+          "--a", "1"], 3),
+        (["sw-profile", "--f", MU, "--q", "3", "--a", "1", "--X-grid", "10000", "--A", "400"], 3),
     ],
 )
 def test_bad_inputs_exit_without_traceback(tmp_path, capsys, monkeypatch, argv, code):
@@ -355,7 +369,19 @@ def test_bad_inputs_exit_without_traceback(tmp_path, capsys, monkeypatch, argv, 
         json.dumps({"f": {"kind": "builtin", "name": "one"}, "x": 10, "q": 3.5, "a": 1})
     )
     (tmp_path / "xi_list.json").write_text(json.dumps({"f": json.loads(MU), "xi": ["chi:q=3,label=1"]}))
-    assert main([*argv, "--out", "out.txt"]) == code
+    out = [] if "--out" in argv else ["--out", "out.txt"]
+    assert main([*argv, *out]) == code
     err = capsys.readouterr().err
     if code:
         assert err.count("\n") == 1 and "Traceback" not in err, err
+
+
+def test_dump_f_writes_the_named_file(tmp_path, capsys):
+    # np.savez adds ".npz" to a bare name; the manifest hashes the path as given
+    dump = tmp_path / "values"
+    code, manifest = run(capsys, "counterexample", "--x", "5000", "--gamma", "2",
+                         "--dump-f", str(dump), "--out", str(tmp_path / "ce.json"))
+    assert code == 0 and dump.is_file() and not (tmp_path / "values.npz").exists()
+    assert manifest["outputs"][1]["path"] == str(dump)
+    with np.load(dump) as data:
+        assert set(data.files) == {"prime_powers", "values"}
