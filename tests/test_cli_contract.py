@@ -20,8 +20,7 @@ from hypothesis import strategies as st
 from bvlab.cli import _COMMANDS, _INTS, main
 from bvlab.core_arith import build_prime_table, save_prime_table
 
-SMALL = frozenset({"trials", "Q", "N-max", "Q-max", "U", "V", "R"})
-CAP = {"trials": 3}  # the others in SMALL: 64; every other number: 10^4
+CAP = {"trials": 3, **dict.fromkeys(["Q", "N-max", "Q-max", "U", "V", "R"], 64)}  # else 10^4
 
 SPECS = [
     '{"kind":"builtin","name":"moebius"}',
@@ -82,7 +81,7 @@ def pool(key):
         return st.lists(numbers(10**4), min_size=1, max_size=3).map(
             lambda xs: ",".join(str(x) for x in xs)
         )
-    return numbers(CAP.get(key, 64) if key in SMALL else 10**4, key in _INTS)
+    return numbers(CAP.get(key, 10**4), key in _INTS)
 
 
 @pytest.fixture(scope="module")
