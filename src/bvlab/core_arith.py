@@ -3,12 +3,15 @@
 Everything downstream (characters, multiplicative functions, discrepancy
 sums) factors integers through a PrimeTable built here: a flat
 smallest-prime-factor array, chosen because factorization is the dominant
-operation at desk scale (limits up to ~1e8 are assumed to fit in memory).
+operation at desk scale (limits up to ~1e8 are assumed to fit in memory). It
+is sieved in L2-sized segments, and a sieve cache is read back one segment
+at a time, each checked against the same segment sieve.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -73,29 +76,33 @@ _SIEVE_SEGMENT = 1 << 18
 
 
 def build_prime_table(limit: int) -> PrimeTable:
-    """Sieve smallest prime factors for 2..limit.
+    """Sieve smallest prime factors for 2..limit, one _SIEVE_SEGMENT at a time."""
+    primes = _sieving_primes(limit)
+    spf = np.empty(limit + 1, dtype=np.uint32)
+    for lo in range(0, limit + 1, _SIEVE_SEGMENT):
+        _sieve_segment(spf[lo : lo + _SIEVE_SEGMENT], lo, primes)
+    return PrimeTable(limit=limit, spf=spf)
 
-    In segments of _SIEVE_SEGMENT entries, each first set to n at n: slice
-    writes of p from max(p*p, the first multiple of p in the segment), for
-    the primes p <= sqrt(limit) (from the table of sqrt(limit)), largest
-    first. The last prime to mark a composite is its smallest prime factor.
-    """
+
+def _sieving_primes(limit: int) -> list[int]:
+    """The primes p <= sqrt(limit), largest first, from the table of sqrt(limit)."""
     if limit < 2:
         raise ParameterError(f"sieve limit must be >= 2, got {limit}")
     if limit > 2**32 - 1:  # spf is uint32, and BVLAB1 stores <u4
         raise ParameterError(f"sieve limit must be <= 2^32 - 1, got {limit}")
     root = math.isqrt(limit)
-    primes = build_prime_table(root).primes[::-1].tolist() if root >= 2 else []
-    spf = np.empty(limit + 1, dtype=np.uint32)
-    for lo in range(0, limit + 1, _SIEVE_SEGMENT):
-        hi = min(lo + _SIEVE_SEGMENT, limit + 1)
-        seg = spf[lo:hi]
-        seg[:] = np.arange(lo, hi, dtype=np.uint32)
-        for p in primes:
-            start = max(p * p, -(-lo // p) * p)
-            if start < hi:
-                seg[start - lo :: p] = p
-    return PrimeTable(limit=limit, spf=spf)
+    return build_prime_table(root).primes[::-1].tolist() if root >= 2 else []
+
+
+def _sieve_segment(seg: np.ndarray, lo: int, primes: list[int]) -> None:
+    """spf of lo..lo + len(seg) - 1 into seg: n at n, then each p of `primes` (largest
+    first, so a composite's last mark is its smallest prime factor) from p*p on."""
+    hi = lo + len(seg)
+    seg[:] = np.arange(lo, hi, dtype=np.uint32)
+    for p in primes:
+        start = max(p * p, -(-lo // p) * p)
+        if start < hi:
+            seg[start - lo :: p] = p
 
 
 def factorize(n: int, table: PrimeTable) -> FactoredInteger:
@@ -161,39 +168,56 @@ def save_prime_table(table: PrimeTable, path) -> None:
     with open(path, "wb") as fh:
         fh.write(_CACHE_MAGIC)
         fh.write(struct.pack("<Q", table.limit))
-        fh.write(table.spf[2:].astype("<u4").tobytes())
+        fh.write(memoryview(np.asarray(table.spf[2:], dtype="<u4")))
 
 
 def load_prime_table(path) -> PrimeTable:
     """Load a sieve cache, validating magic bytes, header and payload length.
 
-    The table is then rebuilt and compared with the payload entry by entry;
-    the first differing spf[n] is reported.
+    Each _SIEVE_SEGMENT of the payload is then read into the table, compared
+    with the segment sieved anew and its primes kept, up to the first wrong
+    spf[n], which is reported. Memory is the table plus one segment.
     """
     try:
         with open(path, "rb") as fh:
-            blob = fh.read()
+            head = fh.read(14)
+            if head[:6] != _CACHE_MAGIC:
+                raise ParameterError(f"{path}: not a sieve cache (bad magic)")
+            if len(head) < 14:
+                raise ParameterError(f"{path}: truncated sieve cache header")
+            (limit,) = struct.unpack("<Q", head[6:])
+            if limit < 2:
+                raise ParameterError(f"{path}: invalid cached limit {limit}")
+            size, expected = os.fstat(fh.fileno()).st_size - 14, 4 * (limit - 1)
+            if size != expected:
+                raise ParameterError(
+                    f"{path}: payload is {size} bytes, expected {expected} for limit {limit}"
+                )
+            return _read_verified(fh, path, limit)
     except OSError as exc:  # missing, a directory, unreadable
         raise ParameterError(f"{path}: cannot read sieve cache: {exc}") from exc
-    if blob[:6] != _CACHE_MAGIC:
-        raise ParameterError(f"{path}: not a sieve cache (bad magic)")
-    if len(blob) < 14:
-        raise ParameterError(f"{path}: truncated sieve cache header")
-    (limit,) = struct.unpack("<Q", blob[6:14])
-    if limit < 2:
-        raise ParameterError(f"{path}: invalid cached limit {limit}")
-    body = blob[14:]
-    expected = 4 * (limit - 1)
-    if len(body) != expected:
-        raise ParameterError(
-            f"{path}: payload is {len(body)} bytes, expected {expected} for limit {limit}"
-        )
-    table = build_prime_table(int(limit))
-    stored = np.frombuffer(body, dtype="<u4")
-    bad = np.flatnonzero(stored != table.spf[2:])
-    if len(bad):
-        n = int(bad[0]) + 2
-        raise ParameterError(
-            f"{path}: spf[{n}] = {int(stored[n - 2])} is not its smallest prime factor"
-        )
+
+
+def _read_verified(fh, path, limit: int) -> PrimeTable:
+    primes = _sieving_primes(limit)
+    spf = np.empty(limit + 1, dtype="<u4")  # BVLAB1's byte order: uint32 on little-endian hosts
+    spf[:2] = 0, 1
+    buf = np.empty(min(_SIEVE_SEGMENT, limit + 1), dtype=np.uint32)
+    found = []
+    for lo in range(0, limit + 1, _SIEVE_SEGMENT):
+        seg = spf[lo : lo + _SIEVE_SEGMENT]
+        want = buf[: len(seg)]
+        _sieve_segment(want, lo, primes)
+        first = max(lo, 2)  # the payload starts at spf[2]
+        got = fh.readinto(memoryview(spf[first : lo + len(seg)]).cast("B"))
+        if got != 4 * (lo + len(seg) - first):
+            raise ParameterError(f"{path}: payload ends early, at spf[{first + got // 4}]")
+        if not np.array_equal(seg, want):
+            n = lo + int(np.flatnonzero(seg != want)[0])
+            raise ParameterError(
+                f"{path}: spf[{n}] = {int(spf[n])} is not its smallest prime factor"
+            )
+        found.append(np.flatnonzero(seg == np.arange(lo, lo + len(seg), dtype=np.uint32)) + lo)
+    table = PrimeTable(limit=limit, spf=spf)
+    table.__dict__["primes"] = np.concatenate(found)[2:]  # seeds the cached_property
     return table

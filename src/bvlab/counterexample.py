@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_arith import PrimeTable, euler_phi, factorize
-from .discrepancy import plain_delta, residue_buckets
+from .discrepancy import plain_delta
 from .errors import InvariantViolationError, OutOfRangeError, ParameterError
 from .multfun import ArithFn, MultFn, evaluate, to_arith
 
@@ -184,17 +184,16 @@ def lower_bound_report(spec: CounterexampleSpec, table: PrimeTable) -> LowerBoun
     """The rows and sums of LowerBoundReport.
 
     Delta(1_P, x; q, 1) is delta's arithmetic on the residue buckets of the
-    indicator, formed for every prime q in (Q, 2Q] by one residue_buckets
-    call on the indicator as int32, which sums it exactly.
+    indicator, counted for each prime q in (Q, 2Q] by a bincount of script_P
+    mod q: the same integers, with the same complex128 bits, as delta's sweep.
     """
-    ind = np.zeros(spec.x + 1, dtype=np.int32)
-    ind[_script_P_array(spec)] = 1
+    sp = _script_P_array(spec)
     logx = math.log(spec.x)
     ps = table.primes_in(spec.y / 2, spec.y)
-    qs = [int(q) for q in table.primes_in(spec.Q, 2 * spec.Q)]
     rows = []
     S = 0.0
-    for q, b in zip(qs, residue_buckets(ind, spec.x, qs)):
+    for q in map(int, table.primes_in(spec.Q, 2 * spec.Q)):
+        b = np.bincount(sp % q, minlength=q).astype(np.complex128)
         d = abs(plain_delta(b, q, 1)[2])
         phi_q = euler_phi(q, table)
         pi_diff = int(np.count_nonzero(ps % q == 1))

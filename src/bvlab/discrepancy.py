@@ -31,8 +31,7 @@ covering 0..m, reduces straight from the values in one pass.
 
 Integer path: when every value is an integer of size <= _INT_BOUND (Moebius,
 Liouville, the counterexample), small_integers gives an int32 copy, which
-bv_sum hands to residue_buckets; the counterexample's lower-bound sum
-builds its indicator as int32. Every partial sum, in any order, is then an
+bv_sum hands to residue_buckets. Every partial sum, in any order, is then an
 integer of size <= 2^52, so each float64 addition of the float path is exact:
 its bucket is that integer, and +0.0 when it is 0, -0.0 inputs included.
 The integer path reaches the same integer in any order: each slice reduces

@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -187,3 +190,71 @@ def test_cache_names_a_wrong_spf_in_the_second_segment(tmp_path, capsys):
             "--x", "100", "--q", "7", "--a", "1", "--out", str(tmp_path / "d.json")]
     assert main(argv) == 3
     assert f"spf[{n}] = 3 " in capsys.readouterr().err
+
+
+def _saved(tmp_path, limit, wrong=()):
+    """Path of the cache of build_prime_table(limit), with spf[n] = v written for each (n, v) of wrong."""
+    path = tmp_path / "sieve.bin"
+    save_prime_table(build_prime_table(limit), path)
+    blob = bytearray(path.read_bytes())
+    for n, v in wrong:
+        blob[14 + 4 * (n - 2) : 14 + 4 * (n - 1)] = v.to_bytes(4, "little")
+    path.write_bytes(bytes(blob))
+    return path
+
+
+# the loader reads and checks the payload 2^18 entries at a time
+@pytest.mark.parametrize("limit", [2, 3, 2**18 - 1, 2**18, 2**18 + 1, 3 * 2**18 + 5])
+def test_streamed_load_matches_plain_sieve(tmp_path, limit):
+    loaded = load_prime_table(_saved(tmp_path, limit))
+    want = plain_spf(limit)
+    assert loaded.limit == limit
+    assert np.array_equal(loaded.spf, want) and loaded.spf.dtype == np.uint32
+    primes = np.flatnonzero(want == np.arange(limit + 1))[2:]
+    assert loaded.primes.dtype == primes.dtype == np.int64
+    assert np.array_equal(loaded.primes, primes)
+
+
+@pytest.mark.parametrize("n", [2, 2**18 - 1, 2**18, 2**18 + 1, 3 * 2**18 + 5])
+def test_streamed_load_names_a_wrong_spf(tmp_path, capsys, n):
+    limit = 3 * 2**18 + 5  # n = limit is in the partial last segment
+    wrong = int(plain_spf(limit)[n]) + 1
+    path = _saved(tmp_path, limit, [(n, wrong)])
+    with pytest.raises(ParameterError, match=rf"spf\[{n}\] = {wrong} "):
+        load_prime_table(path)
+    argv = ["delta", "--cache", str(path), "--f", '{"kind":"builtin","name":"moebius"}',
+            "--x", "100", "--q", "7", "--a", "1", "--out", str(tmp_path / "d.json")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and f"spf[{n}] = {wrong} " in err
+
+
+def test_streamed_load_names_the_first_of_two_wrong_spf(tmp_path):
+    path = _saved(tmp_path, 3 * 2**18 + 5, [(2 * 2**18 + 3, 1), (2**18 + 2, 3)])
+    with pytest.raises(ParameterError, match=rf"spf\[{2**18 + 2}\] = 3 "):
+        load_prime_table(path)
+
+
+def test_streamed_load_stops_at_a_short_read(tmp_path, monkeypatch):
+    # the file shrinks after its length was checked: the read falls short in
+    # the second segment, which is reported before anything compares it
+    limit, end = 3 * 2**18 + 5, 2**18 + 10
+    path = _saved(tmp_path, limit)
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes()[: 14 + 4 * (end - 2)])
+    monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=size))
+    with pytest.raises(ParameterError, match=rf"payload ends early, at spf\[{end}\]"):
+        load_prime_table(path)
+
+
+def test_streamed_load_holds_the_table_and_one_segment(tmp_path):
+    path = _saved(tmp_path, 2 * 10**6)
+    tracemalloc.start()
+    try:
+        t = load_prime_table(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the table, its primes while they are joined, and a few 1 MB segment
+    # buffers; a blob of the payload or a second table would add 8 MB
+    assert peak < t.spf.nbytes + 2 * t.primes.nbytes + 3 * 4 * 2**18

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,20 +125,40 @@ def test_lower_bound_report(table_1e5):
         assert d == abs(pi_diff - script_term)
 
 
-def test_lower_bound_rows_match_per_modulus_delta(table_1e5):
+def _assert_rows_match_per_modulus_delta(x, table):
     # the rows as they were formed with one delta call per prime q
-    x = 10**5
-    spec = spec_for(x, 2.0, table_1e5)
+    spec = spec_for(x, 2.0, table)
     ind = script_P_indicator(spec)
-    ps = table_1e5.primes_in(spec.y / 2, spec.y)
+    ps = table.primes_in(spec.y / 2, spec.y)
     want = []
-    for q in table_1e5.primes_in(spec.Q, 2 * spec.Q):
+    for q in table.primes_in(spec.Q, 2 * spec.Q):
         q = int(q)
         d = abs(delta(ind, x, q, 1).delta)
-        phi_q = euler_phi(q, table_1e5)
+        phi_q = euler_phi(q, table)
         want.append((q, d, phi_q, int(np.count_nonzero(ps % q == 1)), len(spec.script_P) / phi_q))
     assert len(want) > 10
-    assert repr(lower_bound_report(spec, table_1e5).rows) == repr(want)
+    assert repr(lower_bound_report(spec, table).rows) == repr(want)
+
+
+def test_lower_bound_rows_match_per_modulus_delta(table_1e5):
+    _assert_rows_match_per_modulus_delta(10**5, table_1e5)
+
+
+def test_lower_bound_rows_match_delta_over_several_slices(table_1e5):
+    # 2^18 + 4 values: more than one 1 MB slice of an int32 or a float64 sweep
+    _assert_rows_match_per_modulus_delta(2**18 + 3, table_1e5)
+
+
+def test_lower_bound_report_builds_no_dense_indicator(table_1e6):
+    spec = spec_for(10**6, 2.0, table_1e6)
+    table_1e6.primes  # the table's own lazy primes are not the report's
+    tracemalloc.start()
+    try:
+        lower_bound_report(spec, table_1e6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6  # an int32 indicator of 0..10^6 alone is 4 MB
 
 
 def test_lower_bound_empty_script_P(table_1e4):
