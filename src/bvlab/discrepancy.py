@@ -87,23 +87,30 @@ def _full_rows_sum(values: np.ndarray, m: int, q: int) -> np.ndarray:
 # adds at most 2^18 / _WIDE + 1 = 1025 rows: |sum| < 1025 * 2^20 < 2^31.
 _INT_BOUND = 1 << 20
 
+# Largest |f(n)| of an int16 copy (Moebius, Liouville, the counterexample).
+# A slice of _SLICE_BYTES // 2 = 2^19 int16 values reduces at most
+# 2^19 / _WIDE + 1 = 2049 rows, and 2049 * 15 < 2^15, so no int16 row sum wraps.
+_INT16_BOUND = 15
+
 # Row length of the integer path: q * ceil(_WIDE / q), a multiple of q, so
 # a small modulus reduces a few long rows instead of many q-long ones.
 _WIDE = 256
 
 
 def small_integers(values: np.ndarray) -> Optional[np.ndarray]:
-    """An int32 copy of float64 `values` when each is an integer of size <= _INT_BOUND, else None.
+    """An integer copy of float64 `values` when each is an integer of size <= _INT_BOUND, else None.
 
-    -0.0 passes as 0; NaN, +-inf and non-integers fail the comparison.
+    The copy is int16 when every |v| <= _INT16_BOUND, else int32: half the
+    bytes for each sweep of residue_buckets to read. -0.0 passes as 0; NaN,
+    +-inf and non-integers fail the comparisons.
     """
     if values.dtype != np.float64:
         return None
-    with np.errstate(invalid="ignore"):
-        ints = values.astype(np.int32)
-    if not np.array_equal(ints, values) or ints.min() < -_INT_BOUND or ints.max() > _INT_BOUND:
+    lo, hi = values.min(), values.max()
+    if not (-_INT_BOUND <= lo and hi <= _INT_BOUND):  # NaN fails here too
         return None
-    return ints
+    ints = values.astype(np.int16 if max(-lo, hi) <= _INT16_BOUND else np.int32)
+    return ints if np.array_equal(ints, values) else None
 
 
 def _integer_buckets(values: np.ndarray, m: int, qs: Sequence[int]) -> list[np.ndarray]:
@@ -117,7 +124,7 @@ def _integer_buckets(values: np.ndarray, m: int, qs: Sequence[int]) -> list[np.n
             k = -(-(min(e, (m + 1) // L * L) - first) // L)
             if k > 0:
                 rows = values[first : first + k * L].reshape(k, L)
-                acc += rows.sum(axis=0, dtype=np.int32)
+                acc += rows.sum(axis=0, dtype=values.dtype)
     out = []
     for q, acc in zip(qs, sums):
         L = len(acc)
@@ -134,11 +141,12 @@ def residue_buckets(values: np.ndarray, m: int, qs: Sequence[int]) -> list[np.nd
     the partial last row, padded with zeros to q entries. Float64 `values`
     (those of a real f) are reduced in float64, except at q = 1.
     Several moduli share one sweep over `values` in slices; see the
-    numerical policy above. Int32 `values` of size <= _INT_BOUND (such as
-    small_integers of float64 ones) are summed exactly in wide rows, with
-    the same bits as their float64 originals.
+    numerical policy above. Int16 or int32 `values` within the bounds of
+    small_integers (such as its copies of float64 ones) are summed exactly
+    in wide rows, each slice in the values' own dtype, with the same bits as
+    their float64 originals.
     """
-    if values.dtype == np.int32:
+    if values.dtype in (np.int16, np.int32):
         return _integer_buckets(values, m, qs)
     top = max(qs)
     step = max(_SLICE_BYTES // values.itemsize, 4 * top)
@@ -187,9 +195,10 @@ def chunked_map(fn, items: Sequence, size: int, threads: int) -> list:
 
 
 def _coprime_residues(q: int) -> np.ndarray:
-    if q == 1:
-        return np.array([0])
-    return np.flatnonzero(np.gcd(np.arange(q), q) == 1)
+    coprime = np.ones(q, dtype=bool)
+    for p, _e in _factor_small(q):
+        coprime[::p] = False
+    return np.flatnonzero(coprime)
 
 
 def _check_args(f: ArithFn, x: float, q: int, a: int) -> int:
@@ -298,25 +307,32 @@ class BVSumReport:
 
 
 def _bv_rows_for(
-    values: np.ndarray, m: int, qs: Sequence[int], xi: Optional[CharacterSet]
+    values: np.ndarray, m: int, Ms: Sequence[int], folds: dict, xi: Optional[CharacterSet]
 ) -> list[tuple[int, int, float]]:
+    """The rows of every q in folds[M], M in Ms, from one sweep over the moduli Ms.
+
+    Each q divides its M, and b_q is b_M with its M / q rows of q entries
+    added up: exact for integer values, see the numerical policy above.
+    """
     rows = []
-    for q, b in zip(qs, residue_buckets(values, m, qs)):
-        rs = _coprime_residues(q)
-        phi = len(rs)
-        if xi is None:
-            corr = np.full(phi, np.sum(b[rs]))
-            corr /= phi
-        else:
-            corr = np.zeros(phi, dtype=np.complex128)
-            for chi in induced_set(xi, q):
-                cv = chi.residue_values()
-                s_chi = np.sum(np.conj(cv[rs]) * b[rs])
-                corr += cv[rs] * s_chi
-            corr /= phi
-        dist = np.abs(b[rs] - corr)
-        idx = int(np.argmax(dist))  # first maximum: smallest residue wins ties
-        rows.append((q, int(rs[idx]), float(dist[idx])))
+    for M, bM in zip(Ms, residue_buckets(values, m, Ms)):
+        for q in folds[M]:
+            b = bM if q == M else bM.reshape(M // q, q).sum(axis=0)
+            rs = _coprime_residues(q)
+            phi = len(rs)
+            if xi is None:
+                corr = np.full(phi, np.sum(b[rs]))
+                corr /= phi
+            else:
+                corr = np.zeros(phi, dtype=np.complex128)
+                for chi in induced_set(xi, q):
+                    cv = chi.residue_values()
+                    s_chi = np.sum(np.conj(cv[rs]) * b[rs])
+                    corr += cv[rs] * s_chi
+                corr /= phi
+            dist = np.abs(b[rs] - corr)
+            idx = int(np.argmax(dist))  # first maximum: smallest residue wins ties
+            rows.append((q, int(rs[idx]), float(dist[idx])))
     return rows
 
 
@@ -329,8 +345,10 @@ def bv_sum(
 ) -> BVSumReport:
     """sum_{q <= Q} max_{(a,q)=1} |delta(f, x; q, a)|, scanning residues exhaustively.
 
-    Work is chunked over fixed q-blocks; rows and the ascending-q total are
-    identical for any thread count.
+    Work is chunked over fixed blocks of 64 swept moduli; rows and the
+    ascending-q total are identical for any thread count. For integer f only
+    the moduli M in (Q/2, Q] are swept, and each q <= Q is folded from
+    M = q * (Q // q); see the numerical policy above.
     """
     m = int(math.floor(x))
     if m > f.limit:
@@ -339,13 +357,19 @@ def bv_sum(
         raise ParameterError(f"Q must be >= 1, got {Q}")
     if Q > x:
         raise ParameterError(f"Q={Q} exceeds x={x}")
-    # every modulus reads the values, so an int32 copy of integer values pays for itself
     values = f.values[: m + 1]
     ints = small_integers(values)
-    if ints is not None:
+    if ints is None:
+        swept = range(1, Q + 1)
+        folds = {q: [q] for q in swept}
+    else:
         values = ints
-    parts = chunked_map(lambda qs: _bv_rows_for(values, m, qs, xi), range(1, Q + 1), 64, threads)
-    rows = [row for part in parts for row in part]
+        swept = range(Q // 2 + 1, Q + 1)
+        folds = {M: [] for M in swept}
+        for q in range(1, Q + 1):
+            folds[q * (Q // q)].append(q)
+    parts = chunked_map(lambda Ms: _bv_rows_for(values, m, Ms, folds, xi), swept, 64, threads)
+    rows = sorted((row for part in parts for row in part), key=lambda row: row[0])
     total = 0.0
     for _q, _a, v in rows:
         total += v

@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +26,15 @@ from bvlab.discrepancy import (
     twisted_sum,
 )
 from bvlab.core_arith import build_prime_table
-from bvlab.multfun import ArithFn, character_fn, moebius, one, restrict_to_primes, to_arith
+from bvlab.multfun import (
+    ArithFn,
+    character_fn,
+    liouville,
+    moebius,
+    one,
+    restrict_to_primes,
+    to_arith,
+)
 from families import seeded_family
 from oracles import (
     brute_delta,
@@ -366,16 +375,16 @@ def test_residue_buckets_property(seed, m, kind, data):
 B = discrepancy._INT_BOUND
 
 
-def integer_tables(limit):
+def integer_tables(limit, bound=B):
     """Integer float64 values on 0..limit: Moebius as to_arith builds it (with
-    its -0.0 entries), and seeded integers in [-B, B] whose class 3 mod 7 is
-    all -0.0 and whose class 5 mod 7 sums to 0."""
+    its -0.0 entries), and seeded integers in [-bound, bound] whose class
+    3 mod 7 is all -0.0 and whose class 5 mod 7 sums to 0."""
     mu = random_table("moebius", limit).values
     rng = np.random.default_rng(7)
-    v = rng.integers(-B, B + 1, limit + 1).astype(np.float64)
+    v = rng.integers(-bound, bound + 1, limit + 1).astype(np.float64)
     v[3::7] = -0.0
     cls = v[5::7]
-    pairs = rng.integers(-B, B + 1, len(cls) // 2)
+    pairs = rng.integers(-bound, bound + 1, len(cls) // 2)
     cls[: 2 * len(pairs)] = np.stack([pairs, -pairs], axis=1).ravel()
     cls[2 * len(pairs) :] = 0
     assert np.count_nonzero((mu == 0) & np.signbit(mu)) > 0
@@ -385,11 +394,11 @@ def integer_tables(limit):
 
 @pytest.mark.parametrize("source", ["moebius", "seeded"])
 def test_integer_buckets_match_copied_kernel(source):
-    # at m = 4 * 10^5 one call sweeps 2 slices of int32
+    # at m = 4 * 10^5 one call sweeps 2 slices of int32 (seeded) or 1 of int16 (Moebius)
     v = integer_tables(400000)[source]
     for m in (3000, 2999, 1234, 400000, 399999):
         ints = small_integers(v[: m + 1])
-        assert ints.dtype == np.int32
+        assert ints.dtype == (np.int16 if source == "moebius" else np.int32)
         divisors = [q for q in range(130, 10000) if (m + 1) % q == 0]
         small = sorted({*range(1, 130), *range(480, 544), 997, *divisors})
         for qs in (small, [m - 1, m, m + 1, m + 40]):
@@ -425,17 +434,123 @@ def test_integer_buckets_property(seed, m, bound, data):
     "value, integer",
     [(B, True), (-B, True), (-0.0, True), (B + 1, False), (-B - 1, False), (0.5, False),
      (float("nan"), False), (float("inf"), False), (float("-inf"), False),
-     (2.0**31, False), (-(2.0**31), False), (2.0**40 + 1, False)],
+     (2.0**31, False), (-(2.0**31), False), (2.0**40 + 1, False),
+     (15, True), (-15, True), (16, True), (-16, True), (15.5, False)],
 )
 def test_small_integers_gate(value, integer):
     values = np.array([0.0, 1.0, -1.0, value, 3.0])
     got = small_integers(values)
-    if integer:
-        assert got.dtype == np.int32 and np.array_equal(got, values)
+    if integer:  # int16 when every |v| <= 15, else int32
+        width = np.int16 if abs(value) <= 15 else np.int32
+        assert got.dtype == width and np.array_equal(got, values)
     else:
         assert got is None
     assert small_integers(values.astype(np.complex128)) is None
     assert small_integers(values.astype(np.float32)) is None
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_int16_buckets_at_the_slice_bound(sign):
+    # a slice of 2^19 int16 values reduces 2048 full rows of 256 values when
+    # q = 256: every row sum is +-30720, close to the int16 limit 32767
+    m = (1 << 20) + (1 << 19) + 300
+    values = np.full(m + 1, 15.0 * sign)
+    ints = small_integers(values)
+    assert ints.dtype == np.int16
+    qs = (1, 128, 256, 257, 511)
+    for q, b in zip(qs, residue_buckets(ints, m, qs)):
+        assert b.tobytes() == copied_residue_buckets(values, m, q).tobytes(), q
+
+
+def test_coprime_residues_match_gcd_and_totient():
+    for q in range(1, 5001):
+        got = discrepancy._coprime_residues(q)
+        want = np.flatnonzero(np.gcd(np.arange(q), q) == 1)
+        assert got.dtype == want.dtype and np.array_equal(got, want), q
+        assert len(got) == sympy.totient(q), q
+
+
+FOLD_QS = (1, 2, 3, 16, 63, 64, 65, 128, 129, 300, 1000)
+
+
+def fold_table(kind, table):
+    """Integer-valued f on 0..4000: a builtin, Moebius restricted to the primes,
+    or a seeded table of integers in [-bound, bound] with -0.0 entries and a
+    class mod 7 that sums to 0."""
+    if kind == "moebius":
+        return to_arith(moebius(4000), 4000, table)
+    if kind == "liouville":
+        return to_arith(liouville(4000), 4000, table)
+    if kind == "mu-on-primes":
+        return restrict_to_primes(moebius(4000), table, 4000)
+    bound = int(kind.split("-")[1])
+    v = integer_tables(4000, bound)["seeded"]
+    v[0] = 0
+    return ArithFn(values=v, limit=4000, label=kind)
+
+
+@pytest.mark.parametrize("xi", [None, XI])
+@pytest.mark.parametrize(
+    "kind", ["moebius", "liouville", "mu-on-primes", "seeded-15", "seeded-16", f"seeded-{B}"]
+)
+def test_folded_bv_sum_matches_copied_kernel(monkeypatch, table, kind, xi):
+    f = fold_table(kind, table)
+    width = np.int16 if np.abs(f.values).max() <= 15 else np.int32
+    assert small_integers(f.values).dtype == width
+
+    def compute():
+        return [[bv_sum(f, 3999.5, Q, xi, threads=t) for t in (1, 2, 3)] for Q in FOLD_QS]
+
+    got, want = with_copied_kernel(monkeypatch, compute)
+    assert repr(got) == repr(want)  # repr round-trips every float
+
+
+def test_folded_bv_sum_over_several_int16_slices(monkeypatch):
+    f = random_table("moebius", (1 << 20) + 5)
+    got, want = with_copied_kernel(monkeypatch, lambda: bv_sum(f, f.limit, 65, XI, threads=2))
+    assert repr(got) == repr(want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 20000),
+    bound=st.sampled_from([1, 15, 16, B]),
+    threads=st.integers(1, 3),
+    with_xi=st.booleans(),
+    data=st.data(),
+)
+def test_folded_bv_sum_property(seed, m, bound, threads, with_xi, data):
+    rng = np.random.default_rng(seed)
+    values = rng.integers(-bound, bound + 1, m + 1).astype(np.float64)
+    values[rng.integers(0, m + 1, 8)] = -0.0
+    values[0] = 0
+    f = ArithFn(values=values, limit=m, label="seeded")
+    Q = data.draw(st.integers(1, min(m, 1200)), label="Q")
+    xi = XI if with_xi else None
+    got, want = with_copied_kernel(pytest.MonkeyPatch, lambda: bv_sum(f, m, Q, xi, threads))
+    assert repr(got) == repr(want)
+
+
+def test_bv_sum_sweeps_only_the_upper_half_for_integer_f(monkeypatch, table):
+    swept = []
+    sweep = discrepancy.residue_buckets
+
+    def recording(values, m, qs):
+        swept.extend(qs)
+        return sweep(values, m, qs)
+
+    monkeypatch.setattr(discrepancy, "residue_buckets", recording)
+    mu = fold_table("moebius", table)
+    cm = random_table("complex", 4000)
+    for Q in FOLD_QS:
+        for threads in (1, 2):
+            swept.clear()
+            bv_sum(mu, 4000, Q, threads=threads)
+            assert sorted(swept) == list(range(Q // 2 + 1, Q + 1)), Q
+            swept.clear()
+            bv_sum(cm, 4000, Q, threads=threads)
+            assert sorted(swept) == list(range(1, Q + 1)), Q
 
 
 @pytest.mark.parametrize(
@@ -449,7 +564,7 @@ def test_small_integers_gate(value, integer):
         ("complex", 2000.5, 2000, XI),
         ("real", 400000, 300, None),  # several slices per q-block
         ("complex", 400000, 300, XI),
-        ("moebius", 400000, 300, None),  # the integer path, over two int32 slices
+        ("moebius", 400000, 300, None),  # the integer path, folded from one int16 slice
         ("moebius", 400000, 300, XI),
     ],
 )

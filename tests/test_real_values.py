@@ -103,7 +103,7 @@ def test_real_builders_are_float64(table, monkeypatch):
         return buckets(values, m, qs)
 
     monkeypatch.setattr(discrepancy, "residue_buckets", record)
-    # integer values take the int32 path, a copy by design; this is about the float path
+    # integer values take the integer path, a copy by design; this is about the float path
     monkeypatch.setattr(discrepancy, "small_integers", lambda v: None)
     for g in (script_P_indicator(spec), delta_fn(100), twist):
         assert g.values.dtype == np.float64 and g.is_real
