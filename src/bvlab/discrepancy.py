@@ -5,7 +5,8 @@ Xi-corrected variant subtracts the projection onto the characters mod q
 induced by a set Xi of primitive characters, rather than just the principal
 contribution. Everything is computed from per-residue bucket sums, so
 maximizing over residues costs O(x + phi(q)); bv_sum reads n <= x once per
-block of 64 moduli.
+block of 64 swept moduli, and for integer f sweeps only the moduli in
+(Q/2, Q].
 
 Numerical policy: bucket sums and twisted sums reuse the same masked
 arrays, so the plain path and the Xi = {1} path produce bit-identical
@@ -30,16 +31,28 @@ no bit. q = 1 keeps its one pairwise sum. One modulus, or one slice
 covering 0..m, reduces straight from the values in one pass.
 
 Integer path: when every value is an integer of size <= _INT_BOUND (Moebius,
-Liouville, the counterexample), small_integers gives an int32 copy, which
-bv_sum hands to residue_buckets. Every partial sum, in any order, is then an
-integer of size <= 2^52, so each float64 addition of the float path is exact:
-its bucket is that integer, and +0.0 when it is 0, -0.0 inputs included.
-The integer path reaches the same integer in any order: each slice reduces
-its rows of q * ceil(_WIDE / q) values into int32 (at most 1025 rows, so
-below 2^31), adds them into an int64 running row, folds that row to q
-entries and converts them to complex128, whose real part is +0.0 for 0.
-Wide rows take the per-row overhead off small moduli. The bits are the
-float path's.
+Liouville, the counterexample), small_integers gives an integer copy, which
+bv_sum hands to residue_buckets: int16 when every |value| <= _INT16_BOUND
+(15), else int32. Every partial sum, in any order, is then an integer of
+size <= 2^52, so each float64 addition of the float path is exact: its
+bucket is that integer, and +0.0 when it is 0, -0.0 inputs included.
+The integer path reaches the same integer in any order: each slice of
+_SLICE_BYTES reduces its rows of q * ceil(_WIDE / q) values in the copy's
+own dtype (int16: 2^19 values, at most 2049 rows of entries of size <= 15,
+so below 2^15; int32: at most 1025 rows, so below 2^31), adds them into
+an int64 running row, folds that row to q entries and converts them to
+complex128, whose real part is +0.0 for 0. Wide rows take the per-row
+overhead off small moduli. The bits are the float path's.
+
+Fold: with integer buckets, bv_sum sweeps only the moduli M in (Q/2, Q].
+Every q <= Q has exactly one such multiple, M = q * floor(Q/q), and
+b_q[r] = sum_j b_M[r + jq]: the M/q rows of b_M added up. Those entries are
+exact integers of size <= 2^52 stored as complex128, so any sum of them is
+the same integer with the same bits, +0.0 (never -0.0) when it is 0: the
+folded buckets are the swept ones bit for bit, with half the reads. Each
+block of 64 swept moduli folds and reports its own q before the next, so a
+thread holds one block's buckets (64 vectors of at most Q entries), never a
+table of all of them; the rows are then merged in q order.
 delta, delta_xi and twisted_sum read one modulus, for which the copy would
 cost as much as the float pass, so they keep it.
 """
