@@ -452,7 +452,7 @@ def test_small_integers_gate(value, integer):
 @pytest.mark.parametrize("sign", [1, -1])
 def test_int16_buckets_at_the_slice_bound(sign):
     # a slice of 2^19 int16 values reduces 2048 full rows of 256 values when
-    # q = 256: every row sum is +-30720, close to the int16 limit 32767
+    # q = 256: each of its int16 sums reaches +-30720, near the limit 32767
     m = (1 << 20) + (1 << 19) + 300
     values = np.full(m + 1, 15.0 * sign)
     ints = small_integers(values)
@@ -484,9 +484,7 @@ def fold_table(kind, table):
     if kind == "mu-on-primes":
         return restrict_to_primes(moebius(4000), table, 4000)
     bound = int(kind.split("-")[1])
-    v = integer_tables(4000, bound)["seeded"]
-    v[0] = 0
-    return ArithFn(values=v, limit=4000, label=kind)
+    return ArithFn(values=integer_tables(4000, bound)["seeded"], limit=4000, label=kind)
 
 
 @pytest.mark.parametrize("xi", [None, XI])
@@ -524,7 +522,6 @@ def test_folded_bv_sum_property(seed, m, bound, threads, with_xi, data):
     rng = np.random.default_rng(seed)
     values = rng.integers(-bound, bound + 1, m + 1).astype(np.float64)
     values[rng.integers(0, m + 1, 8)] = -0.0
-    values[0] = 0
     f = ArithFn(values=values, limit=m, label="seeded")
     Q = data.draw(st.integers(1, min(m, 1200)), label="Q")
     xi = XI if with_xi else None
