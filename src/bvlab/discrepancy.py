@@ -435,20 +435,25 @@ def partial_summation_check(
         raise ParameterError(f"X={X} must be >= 2")
     m = _check_args(f, x, q, a)
     mX = int(math.floor(X))
-    ker = _kernel_residues(q, a, xi)
-    ns = np.arange(m + 1)
-    w = f.values[: m + 1] * ker[ns % q]
+    # ker tiled over 0..m is ker[n % q] at every n
+    w = f.values[: m + 1] * np.resize(_kernel_residues(q, a, xi), m + 1)
     W = np.cumsum(w)
-    logs = np.zeros(m + 1)
-    logs[1:] = np.log(ns[1:])
-    Wlog = np.cumsum(w * logs)
-
+    logs = np.arange(m + 1, dtype=np.float64)  # n < 2^53: the same floats as int64 n
+    np.log(logs[1:], out=logs[1:])
+    w *= logs
+    del logs
+    Wlog = np.cumsum(w)
     lhs = Wlog[m] - Wlog[mX]
-    pieces = np.arange(mX, m + 1)
-    hi = np.minimum(pieces + 1, x).astype(float)
-    lo = np.maximum(pieces, X).astype(float)
+    del w, Wlog
+    # piece n = mX..m is [max(n, X), min(n + 1, x)), where D(f, t) = W[n]
+    lo = np.arange(mX, m + 1, dtype=np.float64)
+    hi = np.minimum(lo + 1, x)
+    np.maximum(lo, X, out=lo)
     keep = hi > lo
-    integral = np.sum(W[pieces[keep]] * (np.log(hi[keep]) - np.log(lo[keep])))
+    dlog = np.log(hi[keep])
+    dlog -= np.log(lo[keep])
+    del hi, lo
+    integral = np.sum(W[mX:][keep] * dlog)
     rhs = W[m] * math.log(x) - W[mX] * math.log(X) - integral
     return float(abs(lhs - rhs))
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -357,6 +358,9 @@ def to_arith(f: MultFn, limit: int, table: PrimeTable) -> ArithFn:
     return ArithFn(values=vals, limit=limit, label=f.label)
 
 
+_CHUNK = 1 << 16  # longest run of products _divisor_sweep forms at once, in values
+
+
 def _divisor_sweep(fv: np.ndarray, gv: np.ndarray, cut: int, limit: int) -> np.ndarray:
     """h(n) = sum of fv[d] * gv[e] over n = d*e <= limit with d, e <= cut.
 
@@ -369,20 +373,29 @@ def _divisor_sweep(fv: np.ndarray, gv: np.ndarray, cut: int, limit: int) -> np.n
     Zero f(d) in pass 1 and zero g(e) in pass 2 are skipped: h never holds
     -0.0, so adding a signed zero would leave it unchanged, and real
     operands sweep in float64 with the complex sweep's real parts as bits.
+
+    A slice's products are formed _CHUNK at a time in one reused buffer, so
+    the sweep holds h and one chunk; each h(n) still gets one product per
+    slice, the same one.
     """
     h = np.zeros(limit + 1, dtype=np.result_type(fv, gv))
+    buf = np.empty(min(limit, _CHUNK), dtype=h.dtype)
     cut = max(cut, 0)
     t = min(math.isqrt(limit), cut)
     for d in range(1, t + 1):
         fd = fv[d]
         if fd != 0:
             ln = min(cut, limit // d)
-            h[d : d * ln + 1 : d] += fd * gv[1 : ln + 1]
+            for a in range(1, ln + 1, _CHUNK):
+                b = min(a + _CHUNK, ln + 1)
+                h[d * a : d * (b - 1) + 1 : d] += np.multiply(fd, gv[a:b], out=buf[: b - a])
     for e in range(min(cut, limit // (t + 1)), 0, -1):
         ge = gv[e]
         if ge != 0:
             top = min(cut, limit // e)
-            h[e * (t + 1) : e * top + 1 : e] += fv[t + 1 : top + 1] * ge
+            for a in range(t + 1, top + 1, _CHUNK):
+                b = min(a + _CHUNK, top + 1)
+                h[e * a : e * (b - 1) + 1 : e] += np.multiply(fv[a:b], ge, out=buf[: b - a])
     return h
 
 
@@ -450,16 +463,27 @@ def inverse(f: MultFn, limit: int) -> MultFn:
 
 @dataclass
 class LambdaSeq:
-    """lambda_f(n) for n <= limit: supported on prime powers.
+    """lambda_f(n) for n <= limit, stored on the prime powers, where it lives.
 
-    is_class_c records whether |lambda_f(p^k)| <= log p + 1e-9 everywhere in
-    range; first_violation is the least offending prime power, if any.
+    pp_values[i] is lambda_f(prime_powers[i]), prime_powers ascending as
+    prime_powers() lists them. `values` spreads them over a dense array on
+    0..limit (zero elsewhere), built on first use for callers that index
+    by n. is_class_c records whether |lambda_f(p^k)| <= log p + 1e-9
+    everywhere in range; first_violation is the least offending prime
+    power, if any.
     """
 
-    values: np.ndarray
+    prime_powers: np.ndarray
+    pp_values: np.ndarray
     limit: int
     is_class_c: bool
     first_violation: Optional[int] = None
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        out = np.zeros(self.limit + 1, dtype=np.complex128)
+        out[self.prime_powers] = self.pp_values
+        return out
 
 
 def lambda_seq(f: MultFn, limit: int, table: PrimeTable) -> LambdaSeq:
@@ -471,7 +495,7 @@ def lambda_seq(f: MultFn, limit: int, table: PrimeTable) -> LambdaSeq:
     pks, ps, ks = prime_powers(limit, table)
     fv = f.values_at(ps, ks)
     logp = np.array([math.log(p) for p in ps.tolist()])
-    vals = np.zeros(limit + 1, dtype=np.complex128)
+    vals = np.empty(len(pks), dtype=np.complex128)
     fs = []  # fs[j - 1]: (re, im) of f(p^j) over the primes with p^j <= limit
     lams = []  # lams[j - 1]: lambda_f(p^j), likewise
     for k in range(1, int(ks.max(initial=0)) + 1):
@@ -482,10 +506,10 @@ def lambda_seq(f: MultFn, limit: int, table: PrimeTable) -> LambdaSeq:
         for j in range(1, k):
             lam = lam - _cmul(lams[j - 1][:, :n], fs[k - j - 1][:, :n])
         lams.append(lam)
-        vals.real[pks[at]], vals.imag[pks[at]] = lam
-    bad = np.flatnonzero(np.hypot(vals.real[pks], vals.imag[pks]) > logp + 1e-9)
+        vals.real[at], vals.imag[at] = lam
+    bad = np.flatnonzero(np.hypot(vals.real, vals.imag) > logp + 1e-9)
     worst = int(pks[bad[0]]) if len(bad) else None
-    return LambdaSeq(values=vals, limit=limit, is_class_c=worst is None, first_violation=worst)
+    return LambdaSeq(pks, vals, limit, is_class_c=worst is None, first_violation=worst)
 
 
 def class_c_check(f: MultFn, limit: int, table: PrimeTable) -> tuple[bool, Optional[int]]:
@@ -532,16 +556,15 @@ def log_twist(f: ArithFn, normalize_by: float) -> ArithFn:
     """n -> f(n) log(n) / normalize_by."""
     if normalize_by <= 0:
         raise ParameterError(f"normalize_by must be positive, got {normalize_by}")
-    logs = np.zeros(f.limit + 1)
-    if f.limit >= 1:
-        logs[1:] = np.log(np.arange(1, f.limit + 1))
+    logs = np.arange(f.limit + 1, dtype=np.float64)  # n < 2^53: the same floats as int64 n
+    np.log(logs[1:], out=logs[1:])
     v = f.values * logs
     # NumPy divides a complex array by a real as a product with 1 / real; float64 rounds alike
-    return ArithFn(
-        values=v * (1.0 / normalize_by) if v.dtype == np.float64 else v / normalize_by,
-        limit=f.limit,
-        label=f"{f.label}*log/{normalize_by:g}",
-    )
+    if v.dtype == np.float64:
+        v *= 1.0 / normalize_by
+    else:
+        v /= normalize_by
+    return ArithFn(values=v, limit=f.limit, label=f"{f.label}*log/{normalize_by:g}")
 
 
 def truncated_convolution(f: ArithFn, g: ArithFn, cutoff: float, limit: int) -> ArithFn:

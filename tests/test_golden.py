@@ -8,10 +8,14 @@ import hashlib
 import importlib
 import importlib.util
 import inspect
+import random
 from pathlib import Path
 
+from bvlab import build_prime_table
 from bvlab.cli import main
 from bvlab.discrepancy import residue_buckets
+from bvlab.funcspec import save_pp_table
+from families import random_class_c
 
 MU = '{"kind":"builtin","name":"moebius"}'
 ONE = '{"kind":"builtin","name":"one"}'
@@ -101,6 +105,37 @@ def test_readme_commands_keep_their_bytes(tmp_path, monkeypatch, capsys):
                 got[path] = hashlib.sha256((tmp_path / path).read_bytes()).hexdigest()
     capsys.readouterr()
     assert got == GOLDEN
+
+
+# the algebra commands on a seeded complex class-C table: lambda, inverse,
+# companion and truncated convolutions all sweep complex values
+CC = '{"kind":"table","path":"cc.npz"}'
+CC_COMMANDS = [
+    ["lambda-check", "--f", CC, "--limit", "10000", "--out", "lcc.json"],
+    ["inverse-check", "--f", CC, "--limit", "10000", "--out", "icc.json"],
+    ["companion-check", "--f", CC, "--limit", "10000", "--out", "ccc.json"],
+    ["truncation-check", "--f", CC, "--g", MU, "--x", "10000", "--C", "1.037",
+     "--q", "3", "--a", "1", "--xi", "chi:q=3,label=1", "--out", "tcc.json"],
+]
+
+CC_GOLDEN = {
+    "cc.npz": "f9fc97fd2c1f5ffb4ba46ee1482d1df2e080e715704006134041adf32523fbb7",
+    "lcc.json": "1c78f6bce48ec47d42fef433ac801ddbaf05d48e0faef971b377adf0564ba7c4",
+    "icc.json": "4bc8add1484035338e8aebe7f8b88651246877a455b099e16bd8c0829f4d1d71",
+    "ccc.json": "9c97551aa8676f287f6622318bc1e01e8069036a843529bc9272b90438a4d2c1",
+    "tcc.json": "7768ac9baae2009acacf29f1aa547725d5ba656e351cbf550ea0ed5cba11ede4",
+}
+
+
+def test_class_c_table_commands_keep_their_bytes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    save_pp_table(random_class_c(random.Random(17), 10000), 10000,
+                  build_prime_table(10000), "cc.npz")
+    for argv in CC_COMMANDS:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    got = {p: hashlib.sha256((tmp_path / p).read_bytes()).hexdigest() for p in CC_GOLDEN}
+    assert got == CC_GOLDEN
 
 
 def test_traced_layers_resolve():

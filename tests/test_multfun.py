@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -8,6 +9,7 @@ from bvlab import ClassViolationError, OutOfRangeError, ParameterError
 from bvlab.characters import enumerate_characters
 from bvlab.funcspec import save_pp_table
 from bvlab.multfun import (
+    _CHUNK,
     ArithFn,
     MultFn,
     character_fn,
@@ -23,6 +25,7 @@ from bvlab.multfun import (
     log_twist,
     moebius,
     one,
+    prime_powers,
     restrict_to_primes,
     smooth_truncation,
     to_arith,
@@ -279,6 +282,68 @@ def test_convolutions_match_one_pass_sweep_bytes_large():
     cut = int(lim / math.log(lim) ** 1.037)
     want = one_pass_convolution(f.values, g.values, cut, lim)
     assert truncated_convolution(f, g, cut, lim).values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "mixed", "mixed-swapped"])
+def test_chunked_sweep_matches_one_pass_sweep_at_chunk_edges(kind):
+    rng = np.random.default_rng(20251)
+    lim = 2 * _CHUNK + 5  # d = 1 and e = 1 take three chunks, d = 2 two
+    fv, gv = rng.uniform(-1, 1, lim + 1), rng.uniform(-1, 1, lim + 1)
+    if kind != "real":
+        gv = gv + 1j * rng.uniform(-1, 1, lim + 1)
+    if kind == "complex":
+        fv = fv + 1j * rng.uniform(-1, 1, lim + 1)
+    if kind == "mixed-swapped":
+        fv, gv = gv, fv
+    f, g = ArithFn(values=fv, limit=lim), ArithFn(values=gv, limit=lim)
+    for cut in (lim, _CHUNK, _CHUNK + 1):
+        want = one_pass_convolution(f.values, g.values, cut, lim)
+        want = want.real if kind == "real" else want
+        got = truncated_convolution(f, g, cut, lim).values
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), cut
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        out = run()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "mixed"])
+def test_convolution_holds_its_output_and_one_chunk(table_1e6, kind):
+    lim = 3 * 10**5
+    chi = character_fn(enumerate_characters(7)[1], lim)
+    a, b = {"real": (moebius, one), "complex": (None, None), "mixed": (moebius, None)}[kind]
+    f = to_arith(a(lim) if a else chi, lim, table_1e6)
+    g = to_arith(b(lim) if b else chi, lim, table_1e6)
+    h, peak = _traced_peak(lambda: dirichlet_convolve(f, g, lim))
+    # h, the one product buffer, and the ufunc's own buffer for a real operand
+    # cast to complex (8192 values); a product formed over a whole slice
+    # would add up to h's size again
+    assert peak <= h.values.nbytes + _CHUNK * h.values.itemsize + 2**18
+
+
+@pytest.mark.parametrize(
+    "make",
+    [moebius, lambda n: character_fn(enumerate_characters(5)[1], n)],
+    ids=["moebius", "chi5"],
+)
+def test_lambda_seq_holds_no_dense_array(table_1e6, make):
+    lim = 10**6
+    table_1e6.primes  # built once, outside the trace
+    lam, peak = _traced_peak(lambda: lambda_seq(make(lim), lim, table_1e6))
+    assert peak < 16 * (lim + 1)  # one dense complex128 array over 0..limit
+    assert lam.prime_powers.tobytes() == prime_powers(lim, table_1e6)[0].tobytes()
+    dense = lam.values
+    assert dense.dtype == np.complex128 and dense.shape == (lim + 1,)
+    assert dense[lam.prime_powers].tobytes() == lam.pp_values.tobytes()
+    off = np.ones(lim + 1, dtype=bool)
+    off[lam.prime_powers] = False
+    assert not dense[off].any()
+    assert lam.values is dense  # densified once
 
 
 def test_companion_split_examples(table):
