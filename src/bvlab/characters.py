@@ -350,13 +350,6 @@ def induced_set(xi: CharacterSet, q: int) -> list[DirichletCharacter]:
     return [induce(psi, q) for psi in xi if q % psi.modulus == 0]
 
 
-def full_primitive_set(q: int) -> CharacterSet:
-    """Primitive characters inducing the full group mod q (Xi_q = everything)."""
-    return CharacterSet(
-        members=tuple(primitivize(chi) for chi in enumerate_characters(q))
-    )
-
-
 def primitive_characters(q: int) -> list[DirichletCharacter]:
     """The primitive characters mod q, in canonical order."""
     return [chi for chi in enumerate_characters(q) if chi.is_primitive]

@@ -477,18 +477,21 @@ def _cmd_companion_check(args):
     f = _multfn(args.f, limit, table, args.command)
     fstar, g = companion_split(f, limit)
     gd = to_arith(g, limit, table)
+    gpp = prime_power_values(g, limit, table)
+    worst_pk = float(np.max(np.hypot(gpp.real, gpp.imag), initial=0.0))
+    del g, gpp  # g's prime-power array, like fstar's below, is freed after its last reader
     off = to_arith(powerful(limit), limit, table).values == 0
     off_powerful = float(np.max(np.abs(gd.values[off]), initial=0.0))
     del off
-    conv = dirichlet_convolve(gd, to_arith(fstar, limit, table), limit).values
-    del gd
+    fstar_d = to_arith(fstar, limit, table)
+    del fstar
+    conv = dirichlet_convolve(gd, fstar_d, limit).values
+    del gd, fstar_d
     fd = to_arith(f, limit, table).values
     conv = conv.astype(np.result_type(conv, fd), copy=False)
     conv -= fd
     del fd
     resid = float(np.max(np.abs(conv)))
-    gpp = prime_power_values(g, limit, table)
-    worst_pk = float(np.max(np.hypot(gpp.real, gpp.imag), initial=0.0))
     obj = {
         "max_residual": resid,
         "off_powerful_max": off_powerful,

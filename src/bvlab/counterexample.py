@@ -94,11 +94,7 @@ def counterexample_multfn(spec: CounterexampleSpec) -> MultFn:
         at_prime[(p <= z) | (p > y)] = 0.0
         return at_prime**k
 
-    return MultFn.from_arrays(
-        rule,
-        spec.x,
-        label=f"counterexample(x={spec.x},gamma={spec.gamma:g},Q={spec.Q})",
-    )
+    return MultFn(rule, spec.x, label=f"counterexample(x={spec.x},gamma={spec.gamma:g},Q={spec.Q})")
 
 
 def _script_P_array(spec: CounterexampleSpec) -> np.ndarray:

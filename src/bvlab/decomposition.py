@@ -168,15 +168,6 @@ def dyadic_cells(X: float, y: float, V0: float) -> list[DyadicCell]:
     return cells
 
 
-def cell_covers(cell: DyadicCell, split: SmoothSplit) -> bool:
-    return (
-        cell.U <= split.u < 2 * cell.U
-        and cell.V <= split.v < 2 * cell.V
-        and cell.P_plus <= split.P_plus_u < 2 * cell.P_plus
-        and cell.P_minus <= split.P_minus_v < 2 * cell.P_minus
-    )
-
-
 def bilinear_ls_eval(
     a_coeffs, b_coeffs, U: int, V: int, R: float
 ) -> tuple[float, float, float]:
@@ -259,12 +250,9 @@ def truncation_difference_check(
     mx = int(math.floor(x))
     fd = to_arith(f, mx, table)
     gd = to_arith(g, mx, table)
-    conv = dirichlet_convolve(fd, gd, mx)
-    conv_trunc = truncated_convolution(fd, gd, y, mx)
-    lhs = (
-        delta_xi(conv, x, q, a, xi).delta
-        - delta_xi(conv_trunc, x, q, a, xi).delta
-    )
+    # each convolution is freed after its one read: fd, gd and one convolution are held
+    d_full = delta_xi(dirichlet_convolve(fd, gd, mx), x, q, a, xi).delta
+    lhs = d_full - delta_xi(truncated_convolution(fd, gd, y, mx), x, q, a, xi).delta
     rhs = 0j
     for side in range(2):
         outer, innerfn = ((fd, gd), (gd, fd))[side]

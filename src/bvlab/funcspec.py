@@ -40,6 +40,7 @@ from .multfun import (
     log_twist,
     moebius,
     one,
+    prime_power_values,
     prime_powers,
     restrict_to_primes,
     smooth_truncation,
@@ -103,7 +104,7 @@ def _load_pp_table(path: str, limit: int) -> MultFn:
     if len(twice):
         raise ParameterError(f"table {path}: prime power {keys[twice[0]]} is listed twice")
     get = _lookup(keys, values[order], 0j)  # absent prime powers read as 0
-    return MultFn.from_arrays(lambda p, k: get(p**k), limit, label=f"table:{path}")
+    return MultFn(lambda p, k: get(p**k), limit, label=f"table:{path}")
 
 
 def save_pp_table(f: MultFn, limit: int, table: PrimeTable, path) -> None:
@@ -111,10 +112,11 @@ def save_pp_table(f: MultFn, limit: int, table: PrimeTable, path) -> None:
 
     The file is written at `path` as given: np.savez would add ".npz" to a name without it.
     """
+    values = prime_power_values(f, limit, table)
     pks, ps, ks = prime_powers(limit, table)
     order = np.lexsort((ks, ps))
     with open(path, "wb") as fh:
-        np.savez(fh, prime_powers=pks[order], values=f.values_at(ps, ks)[order])
+        np.savez(fh, prime_powers=pks[order], values=values[order])
 
 
 def parse_function_spec(spec, limit: int, table: PrimeTable):

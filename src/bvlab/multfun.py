@@ -1,23 +1,25 @@
 """The class-C function algebra.
 
-A MultFn is a multiplicative function given by a prime-power rule; values
-at arbitrary n come from the factorization. Its one materialized form is
-the prime-power array: prime_powers enumerates (p^k, p, k) up to a limit,
-ascending in p^k, and one values_at call reads f at all of them in that
-order (prime_power_values). to_arith, lambda_seq and save_pp_table each
-make that one call on the arrays of their own prime_powers call.
+A MultFn is a multiplicative function: a limit, a label and an array rule,
+int64 arrays p, k -> complex128 f(p^k). It is one array. The rule is called
+once, on the function's first read, over prime_powers(limit, table): every
+(p^k, p, k) with p^k <= limit, ascending in p^k. The result is checked on
+the unit disc and kept; every later read takes a prefix of it
+(prime_power_values: to_arith, lambda_seq, restrict_to_primes,
+save_pp_table) or looks a value up in it (pp_value, so evaluate). Rules that
+draw random values lazily, in call order, are read in that one order.
+
+The derived kinds (inverse, companion_split, smooth_truncation) are MultFns
+whose rule gets its base f's array over the same prime powers and builds
+its own from it, a level k = 1, 2, ... at a time, as lambda_seq walks its
+recursion: level k lists the p^k in ascending p, a prefix of the primes.
+Their values are not checked: the inverse of a function outside class C
+may leave the disc, and a companion's g reaches 2.
 
 to_arith forms f(n) = f(n / p^e) f(p^e), p^e the spf-power part of n, and
 finds p^e with a sieve over each block of n: writing p's powers ascending,
 largest p first, leaves spf(n)'s. p^e divides n < 2^53, so the float64
 quotient n / p^e is exact.
-
-There are two kinds of rule. The library's functions (builtins,
-characters, completely multiplicative functions, tables, inverses,
-companions, truncations, the counterexample) have array rules: int64
-arrays p, k -> complex128 f(p^k), called once per values_at call, so once
-per materialized function. A rule (p, k) -> f(p^k) on Python scalars, as a
-caller may pass to MultFn, is called once per prime power and memoized.
 
 An ArithFn is a dense value array for non-multiplicative objects
 (restrictions to primes, log twists, convolutions) and for feeding the
@@ -36,6 +38,7 @@ Mangoldt function.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -46,84 +49,62 @@ from .core_arith import PrimeTable
 from .errors import ClassViolationError, OutOfRangeError, ParameterError
 
 _TOL = 1e-12  # slack on the unit-disc check for prime-power values
-
-
-def _violation(p: int, k: int, v: complex, label: str) -> ClassViolationError:
-    return ClassViolationError(f"|f({p}^{k})| = {abs(v)} exceeds 1 (label={label!r})")
+_CHUNK = 1 << 16  # longest run of products _divisor_sweep forms at once, in values
+_PRIMES = 1 << 12  # primes per chunk of _levels
 
 
 class MultFn:
-    """Multiplicative function from a prime-power rule.
+    """Multiplicative function from an array rule, read once.
 
-    MultFn(rule, ...) takes a scalar rule (p, k) -> f(p^k), memoized per
-    instance; the memo is write-once per prime power (idempotent overwrites
-    of identical values), so concurrent evaluation is safe.
-    MultFn.from_arrays(rule, ...) takes an array rule, int64 arrays p, k ->
-    f(p^k) as complex128, evaluated anew on each values_at call; pp_value
-    memoizes its one-entry calls in the same memo. `rule` holds either kind,
-    and `_arrays` says which.
+    rule(p, k) gives f(p^k) over int64 arrays. A function derived from a
+    base is called rule(p, k, fv), fv the base's values at the same prime
+    powers, and its limit may not exceed the base's. The first read, under
+    a lock, calls the rule over prime_powers(limit, table) and keeps the
+    result; a read whose table is below limit raises OutOfRangeError.
     """
 
-    def __init__(
-        self,
-        rule: Callable[[int, int], complex],
-        limit: int,
-        label: str = "",
-        validate: bool = True,
-    ):
+    def __init__(self, rule: Callable, limit: int, label: str = "", base: Optional[MultFn] = None):
         if limit < 1:
             raise ParameterError(f"limit must be >= 1, got {limit}")
+        if base is not None and limit > base.limit:
+            raise OutOfRangeError(f"limit={limit} exceeds function limit {base.limit}")
         self.rule = rule
         self.limit = limit
         self.label = label
-        self.validate = validate
-        self._arrays = False
-        self._pp: dict[int, complex] = {}
+        self.base = base
+        self._values = None
+        self._lock = threading.Lock()
 
-    @classmethod
-    def from_arrays(
-        cls,
-        rule: Callable[[np.ndarray, np.ndarray], np.ndarray],
-        limit: int,
-        label: str = "",
-        validate: bool = True,
-    ) -> "MultFn":
-        f = cls(rule, limit, label, validate)
-        f._arrays = True
-        return f
+    def _read(self, table: PrimeTable) -> np.ndarray:
+        """f(p^k) over prime_powers(limit, table), from the one rule call.
 
-    def values_at(self, p: np.ndarray, k: np.ndarray) -> np.ndarray:
-        """f(p^k) for int64 arrays p, k, as complex128, in the order given.
-
-        A scalar rule goes through pp_value once per entry, in that order.
-        An array rule is called once; when validating, the least p^k whose
-        value lies outside the unit disc (NaN included) is reported.
+        A rule without a base is checked on the unit disc, NaN included; the
+        first offender is the least p^k.
         """
-        if not self._arrays:
-            return np.array(
-                [self.pp_value(a, b) for a, b in zip(p.tolist(), k.tolist())], dtype=complex
-            )
-        v = np.asarray(self.rule(p, k), dtype=np.complex128)
-        if self.validate:
-            bad = np.flatnonzero(~(np.hypot(v.real, v.imag) <= 1 + _TOL))
-            if len(bad):
-                i = bad[np.argmin(p[bad] ** k[bad])]
-                raise _violation(int(p[i]), int(k[i]), complex(v[i]), self.label)
-        return v
+        with self._lock:
+            if self._values is None:
+                _pks, ps, ks = prime_powers(self.limit, table)
+                if self.base is not None:
+                    fv = prime_power_values(self.base, self.limit, table)
+                    v = np.asarray(self.rule(ps, ks, fv), dtype=np.complex128)
+                else:
+                    v = np.asarray(self.rule(ps, ks), dtype=np.complex128)
+                    bad = np.flatnonzero(~(np.hypot(v.real, v.imag) <= 1 + _TOL))
+                    if len(bad):
+                        p, k, z = int(ps[bad[0]]), int(ks[bad[0]]), complex(v[bad[0]])
+                        raise ClassViolationError(
+                            f"|f({p}^{k})| = {abs(z)} exceeds 1 (label={self.label!r})"
+                        )
+                v.setflags(write=False)  # readers get views of it
+                self._values = v
+        return self._values
 
-    def pp_value(self, p: int, k: int) -> complex:
-        """f(p^k), memoized (an array rule runs on the one entry); checked when validating."""
-        key = p**k
-        v = self._pp.get(key)
-        if v is None:
-            if self._arrays:
-                v = complex(self.values_at(np.array([p], np.int64), np.array([k], np.int64))[0])
-            else:
-                v = complex(self.rule(p, k))
-                if self.validate and not abs(v) <= 1 + _TOL:  # NaN fails too
-                    raise _violation(p, k, v, self.label)
-            self._pp[key] = v
-        return v
+    def pp_value(self, p: int, k: int, table: PrimeTable) -> complex:
+        """f(p^k), looked up in the array."""
+        v = self._read(table)
+        if k < 1 or p < 2 or p**k > self.limit or not table.is_prime(p):
+            raise OutOfRangeError(f"{p}^{k} is not a prime power <= {self.limit}")
+        return complex(v[_count(p**k - 1, table)])
 
 
 def _pack(pair) -> np.ndarray:
@@ -150,43 +131,29 @@ def _cpow(z: np.ndarray, k: np.ndarray) -> np.ndarray:
     return _pack(r)
 
 
-def _per_prime(p: np.ndarray, at_primes: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """at_primes(ps) over the distinct ps of p, read once in ascending order, spread over p."""
-    ps, where = np.unique(p, return_inverse=True)
-    return np.asarray(at_primes(ps), dtype=np.complex128)[where]
-
-
 def one(limit: int) -> MultFn:
-    return MultFn.from_arrays(lambda p, k: np.ones(len(p)), limit, label="one")
+    return MultFn(lambda p, k: np.ones(len(p)), limit, label="one")
 
 
 def moebius(limit: int) -> MultFn:
-    return MultFn.from_arrays(lambda p, k: np.where(k == 1, -1.0, 0.0), limit, label="moebius")
+    return MultFn(lambda p, k: np.where(k == 1, -1.0, 0.0), limit, label="moebius")
 
 
 def liouville(limit: int) -> MultFn:
-    return MultFn.from_arrays(
-        lambda p, k: np.where(k % 2 == 1, -1.0, 1.0), limit, label="liouville"
-    )
+    return MultFn(lambda p, k: np.where(k % 2 == 1, -1.0, 1.0), limit, label="liouville")
 
 
 def powerful(limit: int) -> MultFn:
     """The indicator of the powerful numbers: p^k -> [k >= 2]."""
-    return MultFn.from_arrays(lambda p, k: k >= 2, limit, label="powerful")
+    return MultFn(lambda p, k: k >= 2, limit, label="powerful")
 
 
 def cm_from_arrays(
-    at_primes: Callable[[np.ndarray], np.ndarray],
-    limit: int,
-    label: str = "",
-    validate: bool = True,
+    at_primes: Callable[[np.ndarray], np.ndarray], limit: int, label: str = ""
 ) -> MultFn:
     """Completely multiplicative f(p^k) = at_primes(p) ** k, at_primes over int64 arrays."""
-    return MultFn.from_arrays(
-        lambda p, k: _cpow(np.asarray(at_primes(p), dtype=np.complex128), k),
-        limit,
-        label=label,
-        validate=validate,
+    return MultFn(
+        lambda p, k: _cpow(np.asarray(at_primes(p), dtype=np.complex128), k), limit, label=label
     )
 
 
@@ -196,21 +163,8 @@ def character_fn(chi, limit: int) -> MultFn:
     return cm_from_arrays(lambda p: at[p % chi.modulus], limit, label=chi.serialize())
 
 
-def cm_multfn(prime_value: Callable[[int], complex], limit: int, label: str = "") -> MultFn:
-    """Completely multiplicative function from a value-at-primes rule.
-
-    prime_value is called once per distinct prime of each values_at call,
-    in ascending order.
-    """
-
-    def at_primes(ps: np.ndarray) -> np.ndarray:
-        return np.array([complex(prime_value(q)) for q in ps.tolist()], dtype=complex)
-
-    return cm_from_arrays(lambda p: _per_prime(p, at_primes), limit, label=label)
-
-
 def evaluate(f: MultFn, n: int, table: PrimeTable) -> complex:
-    """f(n) as the product of rule(p^k) over the factorization of n."""
+    """f(n) as the product of f(p^k) over the factorization of n."""
     if n < 1:
         raise ParameterError(f"n must be positive, got {n}")
     if n > f.limit:
@@ -226,7 +180,7 @@ def evaluate(f: MultFn, n: int, table: PrimeTable) -> complex:
         while m % p == 0:
             m //= p
             k += 1
-        out *= f.pp_value(p, k)
+        out *= f.pp_value(p, k, table)
     return out
 
 
@@ -278,17 +232,48 @@ def prime_powers(limit: int, table: PrimeTable) -> tuple[np.ndarray, np.ndarray,
     return pk[order], p[order], k[order]
 
 
-def prime_power_values(f: MultFn, limit: int, table: PrimeTable) -> np.ndarray:
-    """f(p^k) for the prime powers of prime_powers(limit, table), in its order.
+def _count(m: int, table: PrimeTable) -> int:
+    """The number of prime powers <= m: the primes up to m^(1/k), summed over k."""
+    n, k = 0, 1
+    while 2**k <= m:
+        r = int(m ** (1 / k))  # within 1 of the integer k-th root
+        r -= r**k > m
+        r += (r + 1) ** k <= m
+        n += int(np.searchsorted(table.primes, r, side="right"))
+        k += 1
+    return n
 
-    One f.values_at call in ascending p^k order: an array rule is called
-    once per function, a scalar rule once per prime power, in that order.
-    Rules that draw random values lazily, in call order, depend on it, and
-    the derived kinds (inverse, companion_split, smooth_truncation) read
-    their f in the same order.
+
+def prime_power_values(f: MultFn, limit: int, table: PrimeTable) -> np.ndarray:
+    """f(p^k) over prime_powers(limit, table), in its order: a prefix of f's array."""
+    if limit > f.limit:
+        raise OutOfRangeError(f"limit={limit} exceeds function limit {f.limit}")
+    return f._read(table)[: _count(limit, table)]
+
+
+def _levels(fv: np.ndarray, ks: np.ndarray, step) -> np.ndarray:
+    """Solve a triangular recursion over the prime powers, one level k at a time.
+
+    Level k holds the p^k in ascending p, a prefix of level k - 1's primes.
+    The primes are taken _PRIMES at a time: step(k, lo, fs, out) returns the
+    (re, im) pair of level k at the primes lo, lo + 1, ..., given fs[j - 1],
+    the pair of fv at level j <= k, and out[j - 1], its own at level j < k,
+    all at those primes. Every value is formed per prime, so the chunks
+    leave the bits alone and bound the temporaries.
     """
-    _pk, ps, ks = prime_powers(limit, table)
-    return f.values_at(ps, ks)
+    out = np.empty(len(fv), dtype=np.complex128)
+    levels = [np.flatnonzero(ks == k) for k in range(1, int(ks.max(initial=0)) + 1)]
+    for lo in range(0, np.count_nonzero(ks == 1), _PRIMES):
+        fs, outs = [], []
+        for k, at in enumerate(levels, start=1):
+            i = at[lo : lo + _PRIMES]
+            if not len(i):
+                break
+            fs.append(np.array([fv.real[i], fv.imag[i]]))
+            n = len(i)
+            outs.append(step(k, lo, [a[:, :n] for a in fs], [a[:, :n] for a in outs]))
+            out.real[i], out.imag[i] = outs[-1]
+    return out
 
 
 def _cmul(a, b):
@@ -323,10 +308,8 @@ def to_arith(f: MultFn, limit: int, table: PrimeTable) -> ArithFn:
     to the sign of zeros: a*c where the complex product forms a*c - b*d,
     b*d = +-0 (73,438 of Moebius's zeros at 10^7; none of Liouville's).
     """
-    if limit > f.limit:
-        raise OutOfRangeError(f"limit={limit} exceeds function limit {f.limit}")
+    pv = prime_power_values(f, limit, table)
     pks, ps, ks = prime_powers(limit, table)
-    pv = f.values_at(ps, ks)
     real = not pv.imag.any()
     pkf = pks.astype(np.float64)
     # the sieve's prime powers: p <= sqrt(limit), p descending, k ascending
@@ -358,7 +341,6 @@ def to_arith(f: MultFn, limit: int, table: PrimeTable) -> ArithFn:
     return ArithFn(values=vals, limit=limit, label=f.label)
 
 
-_CHUNK = 1 << 16  # longest run of products _divisor_sweep forms at once, in values
 
 
 def _divisor_sweep(fv: np.ndarray, gv: np.ndarray, cut: int, limit: int) -> np.ndarray:
@@ -424,41 +406,17 @@ def inverse(f: MultFn, limit: int) -> MultFn:
     """Convolution inverse g: (f*g)(n) = [n=1], via the prime-power recursion.
 
     g(p^k) = -sum_{j=1..k} f(p^j) g(p^{k-j}), with g(1) = 1, summed from 0 in
-    ascending j and run for all primes at once, one k at a time. The rule
-    reads f at every p^j, j up to the largest k asked at p, in ascending
-    p^j. No unit-disc validation: the inverse of a class-C function is
-    class-C, but other inputs may blow up.
+    ascending j, for all primes at once, one level k at a time. The inverse
+    of a class-C function is class-C, but other inputs may blow up.
     """
 
-    def grule(p: np.ndarray, k: np.ndarray) -> np.ndarray:
-        qs, at = np.unique(p, return_inverse=True)
-        top = np.zeros(len(qs), dtype=np.int64)
-        np.maximum.at(top, at, k)
-        # primes by descending top: those with top >= j are a prefix, of size n[j - 1]
-        order = np.argsort(-top, kind="stable")
-        qs, top = qs[order], top[order]
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        n = [int(np.count_nonzero(top >= j)) for j in range(1, int(top.max(initial=0)) + 1)]
-        start = np.concatenate([[0], np.cumsum(n)]).astype(np.int64)
-        # f at (qs[i], j) sits at start[j - 1] + i; it is read in ascending q^j
-        ep = np.concatenate([qs[:m] for m in n]) if n else qs
-        ek = np.repeat(np.arange(1, len(n) + 1), n)
-        up = np.argsort(ep**ek, kind="stable")
-        fv = np.empty(len(ep), dtype=np.complex128)
-        fv[up] = f.values_at(ep[up], ek[up])
-        fs = np.array([fv.real, fv.imag])
-        gs = np.empty_like(fs)
-        for kk, m in enumerate(n, start=1):
-            acc = np.zeros((2, m))
-            for j in range(1, kk + 1):
-                fj = fs[:, start[j - 1] : start[j - 1] + m]
-                other = (1.0, 0.0) if j == kk else gs[:, start[kk - j - 1] : start[kk - j - 1] + m]
-                acc = acc + _cmul(fj, other)
-            gs[:, start[kk - 1] : start[kk]] = -acc
-        return _pack(gs[:, start[k - 1] + rank[at]])
+    def step(k, _lo, fs, gs):
+        acc = np.zeros(fs[0].shape)
+        for j in range(1, k + 1):
+            acc = acc + _cmul(fs[j - 1], (1.0, 0.0) if j == k else gs[k - j - 1])
+        return -acc
 
-    return MultFn.from_arrays(grule, limit, label=f"inv({f.label})", validate=False)
+    return MultFn(lambda p, k, fv: _levels(fv, k, step), limit, label=f"inv({f.label})", base=f)
 
 
 @dataclass
@@ -489,27 +447,29 @@ class LambdaSeq:
 def lambda_seq(f: MultFn, limit: int, table: PrimeTable) -> LambdaSeq:
     """lambda_f on the prime powers up to limit, with the class-C verdict.
 
-    The triangular recursion runs for all primes at once, one k at a time,
-    with each product and |.| formed as Python's scalar complex math forms it.
+    The triangular recursion runs for all primes at once, one level k at a
+    time, with each product and |.| formed as Python's scalar complex math
+    forms it. log p is taken once per prime, by math.log.
     """
-    pks, ps, ks = prime_powers(limit, table)
-    fv = f.values_at(ps, ks)
-    logp = np.array([math.log(p) for p in ps.tolist()])
-    vals = np.empty(len(pks), dtype=np.complex128)
-    fs = []  # fs[j - 1]: (re, im) of f(p^j) over the primes with p^j <= limit
-    lams = []  # lams[j - 1]: lambda_f(p^j), likewise
-    for k in range(1, int(ks.max(initial=0)) + 1):
-        at = ks == k  # ascending p: a prefix of the primes of level k - 1
-        fs.append(np.array([fv.real[at], fv.imag[at]]))
-        n = int(np.count_nonzero(at))
-        lam = _cmul(_cmul(fs[k - 1], (k, 0.0)), (logp[at], 0.0))
+    fv = prime_power_values(f, limit, table)
+    pks, ks = prime_powers(limit, table)[::2]  # p^1 lists the primes: p is not kept
+    primes = pks[ks == 1]
+    logp = np.fromiter(map(math.log, memoryview(primes)), dtype=np.float64, count=len(primes))
+    worst = []  # the least violating p^k of each level and chunk
+
+    def step(k, lo, fs, lams):
+        logs = logp[lo : lo + fs[0].shape[1]]
+        lam = _cmul(_cmul(fs[k - 1], (k, 0.0)), (logs, 0.0))
         for j in range(1, k):
-            lam = lam - _cmul(lams[j - 1][:, :n], fs[k - j - 1][:, :n])
-        lams.append(lam)
-        vals.real[at], vals.imag[at] = lam
-    bad = np.flatnonzero(np.hypot(vals.real, vals.imag) > logp + 1e-9)
-    worst = int(pks[bad[0]]) if len(bad) else None
-    return LambdaSeq(pks, vals, limit, is_class_c=worst is None, first_violation=worst)
+            lam = lam - _cmul(lams[j - 1], fs[k - j - 1])
+        bad = np.flatnonzero(np.hypot(lam[0], lam[1]) > logs + 1e-9)
+        if len(bad):
+            worst.append(int(primes[lo + bad[0]]) ** k)
+        return lam
+
+    vals = _levels(fv, ks, step)
+    first = min(worst, default=None)
+    return LambdaSeq(pks, vals, limit, is_class_c=first is None, first_violation=first)
 
 
 def class_c_check(f: MultFn, limit: int, table: PrimeTable) -> tuple[bool, Optional[int]]:
@@ -525,27 +485,16 @@ def smooth_truncation(f: MultFn, y: float) -> MultFn:
     """f_y: agrees with f on prime powers with p <= y, zero above."""
     if y < 2:
         raise ParameterError(f"smoothness bound must be >= 2, got {y}")
-
-    def rule(p: np.ndarray, k: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(p), dtype=np.complex128)
-        low = np.flatnonzero(p <= y)
-        out[low] = f.values_at(p[low], k[low])
-        return out
-
-    return MultFn.from_arrays(
-        rule,
-        f.limit,
-        label=f"{f.label}|smooth<={y:g}",
-        validate=False,  # f checks its own values
+    return MultFn(
+        lambda p, k, fv: np.where(p <= y, fv, 0), f.limit, label=f"{f.label}|smooth<={y:g}", base=f
     )
 
 
 def restrict_to_primes(f: MultFn, table: PrimeTable, limit: int) -> ArithFn:
     """f * 1_P: the values of f at primes up to limit, zero elsewhere."""
-    if limit > table.limit:
-        raise OutOfRangeError(f"limit={limit} exceeds table limit {table.limit}")
-    ps = table.primes[table.primes <= limit].astype(np.int64)
-    pv = f.values_at(ps, np.ones_like(ps))
+    pv = prime_power_values(f, limit, table)
+    _pks, ps, ks = prime_powers(limit, table)
+    pv, ps = pv[ks == 1], ps[ks == 1]
     pv = pv if pv.imag.any() else pv.real
     vals = np.zeros(limit + 1, dtype=pv.dtype)
     vals[ps] = pv
@@ -586,25 +535,15 @@ def companion_split(f: MultFn, limit: int) -> tuple[MultFn, MultFn]:
     k >= 2, so it is supported on powerful numbers and |g(p^k)| <= 2.
     """
 
-    def at_primes(ps: np.ndarray) -> np.ndarray:
-        return f.values_at(ps, np.ones_like(ps))
+    def star(p, k, fv):
+        at = k == 1  # the primes, ascending
+        return _cpow(fv[at][np.searchsorted(p[at], p)], k)
 
-    f_star = cm_from_arrays(
-        lambda p: _per_prime(p, at_primes),
-        limit,
-        label=f"{f.label}*cm",
-        validate=False,
+    def correction(k, _lo, fs, _g):
+        return np.zeros(fs[0].shape) if k == 1 else fs[k - 1] - _cmul(fs[0], fs[k - 2])
+
+    f_star = MultFn(star, limit, label=f"{f.label}*cm", base=f)
+    g_powerful = MultFn(
+        lambda p, k, fv: _levels(fv, k, correction), limit, label=f"{f.label}|powerful", base=f
     )
-
-    def grule(p: np.ndarray, k: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(p), dtype=np.complex128)
-        hi = np.flatnonzero(k >= 2)
-        q, j = p[hi], k[hi]
-        fk = f.values_at(q, j)  # first, as f(p^k) is the first read of each p^k
-        f1, fprev = f.values_at(q, np.ones_like(j)), f.values_at(q, j - 1)
-        prod = _cmul((f1.real, f1.imag), (fprev.real, fprev.imag))
-        out.real[hi], out.imag[hi] = fk.real - prod[0], fk.imag - prod[1]
-        return out
-
-    g_powerful = MultFn.from_arrays(grule, limit, label=f"{f.label}|powerful", validate=False)
     return f_star, g_powerful

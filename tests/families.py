@@ -12,7 +12,8 @@ import cmath
 import math
 import random
 
-from bvlab.multfun import MultFn, cm_multfn
+from bvlab.multfun import MultFn
+from oracles import cm_multfn, scalar_multfn
 
 
 def _disc_point(rng: random.Random, radius: float = 1.0) -> complex:
@@ -50,7 +51,7 @@ def random_class_c(rng: random.Random, limit: int) -> MultFn:
             fcache[(p, kk)] = acc / (kk * logp)
         return fcache[(p, k)]
 
-    return MultFn(frule, limit, label="random-class-c", validate=True)
+    return scalar_multfn(frule, limit, label="random-class-c")
 
 
 def seeded_family(seed: int, count: int, limit: int, kind: str = "cm"):

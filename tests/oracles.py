@@ -9,9 +9,17 @@ import math
 
 import numpy as np
 
-from bvlab.characters import primitive_value_matrix
+from bvlab.characters import CharacterSet, enumerate_characters, primitive_value_matrix, primitivize
 from bvlab.errors import OutOfRangeError
-from bvlab.multfun import _BLOCK, ArithFn, MultFn, _cmul, prime_power_values, prime_powers
+from bvlab.multfun import (
+    _BLOCK,
+    ArithFn,
+    MultFn,
+    _cmul,
+    cm_from_arrays,
+    prime_power_values,
+    prime_powers,
+)
 
 
 def trial_division(n):
@@ -202,10 +210,52 @@ def smooth_numbers(limit, y):
     return out
 
 
+def full_primitive_set(q):
+    """Primitive characters inducing the full group mod q (Xi_q = everything)."""
+    return CharacterSet(members=tuple(primitivize(chi) for chi in enumerate_characters(q)))
+
+
+def cell_covers(cell, split):
+    """Whether the dyadic cell holds the split's (u, v, P+(u), P-(v))."""
+    return (
+        cell.U <= split.u < 2 * cell.U
+        and cell.V <= split.v < 2 * cell.V
+        and cell.P_plus <= split.P_plus_u < 2 * cell.P_plus
+        and cell.P_minus <= split.P_minus_v < 2 * cell.P_minus
+    )
+
+
 # --- scalar prime-power rules ---------------------------------------------
 # Each library function kind as bvlab first wrote it: one Python rule call
-# per prime power, through MultFn's scalar path. The library's array rules
-# must give the same bits.
+# per prime power. scalar_multfn adapts such a rule to MultFn's array rule;
+# the library's array rules must give the same bits.
+
+
+def scalar_multfn(rule, limit, label=""):
+    """A MultFn whose array rule calls rule(p, k) once per prime power, in the order given.
+
+    MultFn reads it once, over ascending p^k, so lazily drawn values are drawn in that order.
+    """
+
+    def array_rule(p, k):
+        pairs = zip(p.tolist(), k.tolist())
+        return np.array([complex(rule(a, b)) for a, b in pairs], dtype=complex)
+
+    return MultFn(array_rule, limit, label=label)
+
+
+def cm_multfn(prime_value, limit, label=""):
+    """Completely multiplicative function from a value-at-primes rule.
+
+    prime_value is called once per distinct prime, in ascending order; the
+    powers are the library's cm_from_arrays.
+    """
+
+    def at_primes(p):
+        ps, where = np.unique(p, return_inverse=True)
+        return np.array([complex(prime_value(q)) for q in ps.tolist()], dtype=complex)[where]
+
+    return cm_from_arrays(at_primes, limit, label=label)
 
 
 def one_rule(p, k):
@@ -253,34 +303,46 @@ def counterexample_rule(spec):
     return lambda p, k: at_prime(p) ** k
 
 
+def _scalar_derived(f, limit, rule):
+    """A function derived from f: rule(at, p, k), with at[p^k] = f(p^k), called per prime power."""
+
+    def array_rule(p, k, fv):
+        at = dict(zip((p**k).tolist(), fv.tolist()))
+        return np.array([rule(at, a, b) for a, b in zip(p.tolist(), k.tolist())], dtype=complex)
+
+    return MultFn(array_rule, limit, base=f)
+
+
 def scalar_inverse(f, limit):
-    def grule(p, k):
+    g = {}
+
+    def grule(at, p, k):
         acc = 0j
         for j in range(1, k + 1):
-            acc += f.pp_value(p, j) * (1 + 0j if j == k else g.pp_value(p, k - j))
+            acc += at[p**j] * (1 + 0j if j == k else g[p ** (k - j)])
+        g[p**k] = -acc
         return -acc
 
-    g = MultFn(grule, limit, validate=False)
-    return g
+    return _scalar_derived(f, limit, grule)
 
 
 def scalar_companion_split(f, limit):
-    f_star = MultFn(lambda p, k: f.pp_value(p, 1) ** k, limit, validate=False)
+    f_star = _scalar_derived(f, limit, lambda at, p, k: at[p] ** k)
 
-    def grule(p, k):
+    def grule(at, p, k):
         if k == 1:
             return 0j
-        return f.pp_value(p, k) - f.pp_value(p, 1) * f.pp_value(p, k - 1)
+        return at[p**k] - at[p] * at[p ** (k - 1)]
 
-    return f_star, MultFn(grule, limit, validate=False)
+    return f_star, _scalar_derived(f, limit, grule)
 
 
 def scalar_smooth_truncation(f, y):
-    return MultFn(lambda p, k: f.pp_value(p, k) if p <= y else 0j, f.limit, validate=False)
+    return _scalar_derived(f, f.limit, lambda at, p, k: at[p**k] if p <= y else 0j)
 
 
-def scalar_restrict_to_primes(f, primes, limit):
+def scalar_restrict_to_primes(f, table, limit):
     vals = np.zeros(limit + 1, dtype=np.complex128)
-    for p in primes[primes <= limit]:
-        vals[p] = f.pp_value(int(p), 1)
+    for p in table.primes[table.primes <= limit]:
+        vals[p] = f.pp_value(int(p), 1, table)
     return vals

@@ -12,7 +12,6 @@ import pytest
 
 from bvlab.characters import (
     enumerate_characters,
-    full_primitive_set,
     trivial_set,
 )
 from bvlab.cli import main as cli_main
@@ -49,7 +48,7 @@ from bvlab.multfun import (
     to_arith,
 )
 from families import seeded_family
-from oracles import smooth_numbers, trial_division
+from oracles import full_primitive_set, smooth_numbers, trial_division
 from test_decomposition import all_split_candidates
 
 LIMIT = 10**4
@@ -257,7 +256,7 @@ def test_criterion_9_companion_split(table_1e4, mixed_family):
         for p in (2, 3, 5, 7, 11):
             pk, k = p, 1
             while pk <= LIMIT:
-                worst_pk = max(worst_pk, abs(g.pp_value(p, k)))
+                worst_pk = max(worst_pk, abs(g.pp_value(p, k, table_1e4)))
                 pk *= p
                 k += 1
     assert worst <= 1e-9, worst

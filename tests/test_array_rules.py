@@ -1,6 +1,6 @@
 """The array rule of every library function kind against its scalar rule.
 
-The scalar rules in oracles.py go through MultFn's per-entry path; the
+The scalar rules in oracles.py run once per prime power (scalar_multfn); the
 library's array rules must give the same bits, signed zeros included, at
 the prime powers and in the dense sweep.
 """
@@ -15,7 +15,6 @@ from bvlab.characters import enumerate_characters
 from bvlab.counterexample import counterexample_multfn, plan_counterexample
 from bvlab.funcspec import parse_function_spec, save_pp_table
 from bvlab.multfun import (
-    MultFn,
     character_fn,
     companion_split,
     inverse,
@@ -40,6 +39,7 @@ from oracles import (
     powerful_rule,
     scalar_companion_split,
     scalar_inverse,
+    scalar_multfn,
     scalar_restrict_to_primes,
     scalar_smooth_truncation,
     table_rule,
@@ -77,13 +77,13 @@ def assert_same_bits(lib, ref, table, limit=LIM):
     ids=["one", "moebius", "liouville", "powerful"],
 )
 def test_builtin(table, make, rule):
-    assert_same_bits(make(LIM), MultFn(rule, LIM), table)
+    assert_same_bits(make(LIM), scalar_multfn(rule, LIM), table)
 
 
 @pytest.mark.parametrize("q, label", CHARS)
 def test_character(table, q, label):
     chi = enumerate_characters(q)[label]
-    assert_same_bits(character_fn(chi, LIM), MultFn(character_rule(chi), LIM), table)
+    assert_same_bits(character_fn(chi, LIM), scalar_multfn(character_rule(chi), LIM), table)
 
 
 @pytest.mark.parametrize("primes, default", CM_SPECS)
@@ -93,7 +93,7 @@ def test_cm_spec(table, primes, default):
         spec["default"] = default
     at = {int(p): complex(*v) for p, v in primes.items()}
     ref = cm_spec_rule(at, complex(*default) if default is not None else 0j)
-    assert_same_bits(parse_function_spec(spec, LIM, table), MultFn(ref, LIM), table)
+    assert_same_bits(parse_function_spec(spec, LIM, table), scalar_multfn(ref, LIM), table)
 
 
 def test_table_with_absent_and_other_entries(table, tmp_path):
@@ -104,7 +104,7 @@ def test_table_with_absent_and_other_entries(table, tmp_path):
     path = str(tmp_path / "t.npz")
     np.savez(path, prime_powers=pps, values=vals)
     lib = parse_function_spec({"kind": "table", "path": path}, LIM, table)
-    assert_same_bits(lib, MultFn(table_rule(path), LIM), table)
+    assert_same_bits(lib, scalar_multfn(table_rule(path), LIM), table)
     pv = prime_power_values(lib, LIM, table)
     assert np.count_nonzero(pv) == 6  # 2, 8, 9, 97, 1024, 99991; 3 holds zeros, 5 is absent
 
@@ -112,14 +112,17 @@ def test_table_with_absent_and_other_entries(table, tmp_path):
 def test_counterexample(table):
     spec = plan_counterexample(LIM, 2.0, None, table)
     lib = counterexample_multfn(spec)
-    assert_same_bits(lib, MultFn(counterexample_rule(spec), LIM), table)
+    assert_same_bits(lib, scalar_multfn(counterexample_rule(spec), LIM), table)
 
 
 def _bases():
     chi = enumerate_characters(7)[2]
     return {
-        "moebius": (lambda: moebius(LIM), lambda: MultFn(moebius_rule, LIM)),
-        "character": (lambda: character_fn(chi, LIM), lambda: MultFn(character_rule(chi), LIM)),
+        "moebius": (lambda: moebius(LIM), lambda: scalar_multfn(moebius_rule, LIM)),
+        "character": (
+            lambda: character_fn(chi, LIM),
+            lambda: scalar_multfn(character_rule(chi), LIM),
+        ),
         # two draws of one seed: each side reads its own family first
         "cm": (lambda: seeded_family(41, 1, LIM, "cm")[0],) * 2,
         "class-c": (lambda: seeded_family(42, 1, LIM, "class-c")[0],) * 2,
@@ -146,15 +149,16 @@ def test_derived(table, base, derive):
 def test_restrict_to_primes(table, base):
     lib_base, ref_base = _bases()[base]
     got = restrict_to_primes(lib_base(), table, LIM).values
-    want = scalar_restrict_to_primes(ref_base(), table.primes, LIM)
+    want = scalar_restrict_to_primes(ref_base(), table, LIM)
     if not want.imag.any():  # a real function is float64: the oracle's real parts
         want = want.real
     assert got.dtype == (np.float64 if base == "moebius" else np.complex128)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
-# sha256 of prime_power_values(derived(fresh family), 10^5) as the scalar
-# rules gave them: a change in the order the families draw in changes these
+# sha256 of prime_power_values(derived(fresh family), 10^5); every kind reads
+# its family once, in ascending p^k: a change in the order the families draw
+# in changes these
 PINNED = {
     ("cm", "f"): "fa244edbbb0efc7582aa8189ffa5d4d9e6d882673b1d8cdc9e58d088300ab1e4",
     ("cm", "inverse"): "6cb4744323130334a4cda6415f89ce5aa86b20fb7b8739ccfdfb116b41908e47",
@@ -163,9 +167,9 @@ PINNED = {
     ("cm", "smooth"): "346985114625cfc9480dd38b3de6cab164a3ad0d98e6ed95c1863405ad1168dc",
     ("class-c", "f"): "a4233ba93a81c295fc3cf2b7bf2fa21569738a8d19c89d84f85a2dd462a58491",
     ("class-c", "inverse"): "d098de344e4bb56d534664e61d0f3b679773b9b1479ab2262ccb31a341d024b0",
-    ("class-c", "f_star"): "bca54dd6c489ed9dfcd1fbb09ac35085de7f21d2446fd7a28c114fcd234a0bea",
-    ("class-c", "powerful"): "41a9614f6d4de4a91db8d64bb940e1b5f112651cada49e5ccad84d586419e861",
-    ("class-c", "smooth"): "b8d43b12ea06d3865e23e545b5f29a6575d9fcb8a33603f3d1d2f2e75926ee1f",
+    ("class-c", "f_star"): "74939cae3f9f25b0b72ee83a6f6081d7da72d2e880fb445e4b377b89b9479b79",
+    ("class-c", "powerful"): "4ba6a4529d1c31813e1659398ef66a27ccc5218bb6d597581f39bb43b6e41a4f",
+    ("class-c", "smooth"): "c8e5c5128af07810eb4ac5814adc16174b55b025e7d1b15b20af3a8da5396031",
 }
 
 
@@ -182,7 +186,7 @@ def test_unit_disc_check_names_the_least_offender(table, tmp_path):
     path = str(tmp_path / "bad.npz")
     np.savez(path, prime_powers=np.array([25, 2, 9]), values=np.array([np.nan, 0.5, 1.5 + 0j]))
     lib = parse_function_spec({"kind": "table", "path": path}, 100, table)
-    ref = MultFn(table_rule(path), 100, label=lib.label)
+    ref = scalar_multfn(table_rule(path), 100, label=lib.label)
     with pytest.raises(ClassViolationError) as want:
         prime_power_values(ref, 100, table)
     assert str(want.value) == f"|f(3^2)| = 1.5 exceeds 1 (label='table:{path}')"

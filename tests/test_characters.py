@@ -7,14 +7,13 @@ from bvlab import ParameterError
 from bvlab.characters import (
     CharacterSet,
     enumerate_characters,
-    full_primitive_set,
     induce,
     induced_set,
     primitive_characters,
     primitivize,
     trivial_set,
 )
-from oracles import phi_naive, trial_division
+from oracles import full_primitive_set, phi_naive, trial_division
 
 
 def moebius_naive(n):

@@ -1,22 +1,22 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bvlab import DomainError, ParameterError
-from bvlab.characters import enumerate_characters, full_primitive_set, trivial_set
+from bvlab.characters import enumerate_characters, trivial_set
 from bvlab.decomposition import (
     bilinear_ls_eval,
-    cell_covers,
     dyadic_cells,
     smooth_factor_split,
     split_sum_assemble,
     truncation_difference_check,
 )
 from bvlab.discrepancy import twisted_sum
-from bvlab.multfun import moebius, one, smooth_truncation, to_arith
+from bvlab.multfun import character_fn, moebius, one, smooth_truncation, to_arith
 from families import seeded_family
-from oracles import smooth_numbers, trial_division
+from oracles import cell_covers, full_primitive_set, smooth_numbers, trial_division
 
 
 @pytest.fixture(scope="module")
@@ -293,3 +293,18 @@ def test_truncation_difference_overlap_guard(table):
     C = 2.5
     with pytest.raises(DomainError):
         truncation_difference_check(one(x), one(x), x, C, trivial_set(), 3, 1, table)
+
+
+def test_truncation_check_holds_one_convolution_at_a_time(table_1e6):
+    x = 10**6
+    table_1e6.primes  # built once, outside the trace
+    f, g = character_fn(enumerate_characters(5)[1], x), moebius(x)
+    tracemalloc.start()
+    try:
+        truncation_difference_check(f, g, x, 1.037, trivial_set(), 3, 1, table_1e6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # complex f (16 B a value), real g (8 B), one complex convolution (16 B)
+    # and the two prime-power arrays; both convolutions at once would add 16 B
+    assert peak < 48 * (x + 1)

@@ -11,7 +11,6 @@ from bvlab import ParameterError, discrepancy
 from bvlab.characters import (
     CharacterSet,
     enumerate_characters,
-    full_primitive_set,
     trivial_set,
 )
 from bvlab.discrepancy import (
@@ -41,6 +40,7 @@ from oracles import (
     character_large_sieve,
     copied_residue_buckets,
     divisors,
+    full_primitive_set,
     phi_naive,
 )
 

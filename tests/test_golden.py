@@ -8,14 +8,21 @@ import hashlib
 import importlib
 import importlib.util
 import inspect
+import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 from bvlab import build_prime_table
 from bvlab.cli import main
 from bvlab.discrepancy import residue_buckets
 from bvlab.funcspec import save_pp_table
+from bvlab.multfun import MultFn
 from families import random_class_c
+
+ROOT = Path(__file__).resolve().parent.parent
 
 MU = '{"kind":"builtin","name":"moebius"}'
 ONE = '{"kind":"builtin","name":"one"}'
@@ -140,7 +147,7 @@ def test_class_c_table_commands_keep_their_bytes(tmp_path, monkeypatch, capsys):
 
 def test_traced_layers_resolve():
     # bench/runner.py wraps these by name; a missing one only shows as a failed traced run
-    path = Path(__file__).resolve().parent.parent / "bench" / "runner.py"
+    path = ROOT / "bench" / "runner.py"
     spec = importlib.util.spec_from_file_location("bench_runner", path)
     runner = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(runner)
@@ -152,3 +159,54 @@ def test_traced_layers_resolve():
         assert callable(obj), (mod_name, attr)
     # the bytes_in extras read the values and m of residue_buckets positionally
     assert list(inspect.signature(residue_buckets).parameters)[:2] == ["values", "m"]
+
+
+def test_traced_run_wraps_the_layers(tmp_path):
+    # the same names, wrapped by the runner itself around a command that reads a MultFn
+    out = tmp_path / "l.json"
+    trace = tmp_path / "trace.jsonl"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    argv = ["lambda-check", "--f", MU, "--limit", "10000", "--out", str(out)]
+    run = subprocess.run([sys.executable, str(ROOT / "bench" / "runner.py"), "--trace-out",
+                          str(trace), "--", *argv], env=env, capture_output=True)
+    assert run.returncode == 0, run.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN["l.json"]
+    records = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert {"multfun.lambda_seq", "multfun.to_arith"} <= {r.get("name") for r in records}
+    counts = next(r["counts"] for r in records if "counts" in r)
+    assert "multfun.MultFn.pp_value" in counts
+
+
+def test_algebra_commands_call_each_rule_once(tmp_path, monkeypatch, capsys):
+    # a MultFn is read once: every rule, of f and of what is derived from it,
+    # runs once per command, and the outputs keep their bytes
+    monkeypatch.chdir(tmp_path)
+    calls = []  # one count per MultFn built
+    init = MultFn.__init__
+
+    def counting_init(self, rule, *args, **kwargs):
+        calls.append(0)
+        i = len(calls) - 1
+
+        def counted(*a):
+            calls[i] += 1
+            return rule(*a)
+
+        init(self, counted, *args, **kwargs)
+
+    monkeypatch.setattr(MultFn, "__init__", counting_init)
+    built = {}
+    for name in ("lambda-check", "inverse-check", "companion-check", "counterexample"):
+        argv = next(a for a in COMMANDS if a[0] == name)
+        calls.clear()
+        assert main(argv) == 0, argv
+        built[name] = list(calls)
+    capsys.readouterr()
+    assert built == {
+        "lambda-check": [1, 1],  # f, inverse
+        "inverse-check": [1, 1],  # f, inverse
+        "companion-check": [1, 1, 1, 1],  # f, f_star, g, the powerful indicator
+        "counterexample": [1],  # f, read by the pointwise check and by --dump-f
+    }
+    for path in ("l.json", "i.json", "c.json", "ce.json", "ce.csv", "ce_values.npz"):
+        assert hashlib.sha256((tmp_path / path).read_bytes()).hexdigest() == GOLDEN[path], path

@@ -11,10 +11,8 @@ from bvlab.funcspec import save_pp_table
 from bvlab.multfun import (
     _CHUNK,
     ArithFn,
-    MultFn,
     character_fn,
     class_c_check,
-    cm_multfn,
     companion_split,
     delta_fn,
     dirichlet_convolve,
@@ -25,6 +23,7 @@ from bvlab.multfun import (
     log_twist,
     moebius,
     one,
+    prime_power_values,
     prime_powers,
     restrict_to_primes,
     smooth_truncation,
@@ -32,7 +31,14 @@ from bvlab.multfun import (
     truncated_convolution,
 )
 from families import seeded_family
-from oracles import brute_convolve, divisors, one_pass_convolution, trial_division
+from oracles import (
+    brute_convolve,
+    cm_multfn,
+    divisors,
+    one_pass_convolution,
+    scalar_multfn,
+    trial_division,
+)
 
 LIMIT = 10**4
 
@@ -68,7 +74,7 @@ def test_evaluate_range_errors(table):
 
 
 def test_class_violation_on_bad_rule(table):
-    f = MultFn(lambda p, k: 1.5, 100)
+    f = scalar_multfn(lambda p, k: 1.5, 100)
     with pytest.raises(ClassViolationError):
         evaluate(f, 2, table)
 
@@ -153,7 +159,7 @@ def test_class_c_examples(table):
     ok, _ = class_c_check(character_fn(chi, LIMIT), LIMIT, table)
     assert ok
 
-    bad = MultFn(lambda p, k: 1.0 if k == 1 else -1.0, 100)
+    bad = scalar_multfn(lambda p, k: 1.0 if k == 1 else -1.0, 100)
     ok, witness = class_c_check(bad, 100, table)
     # lambda_f(4) = 2 log2 f(4) - lambda_f(2) f(2) = -3 log 2, beyond log 2.
     assert not ok and witness == 4
@@ -346,20 +352,47 @@ def test_lambda_seq_holds_no_dense_array(table_1e6, make):
     assert lam.values is dense  # densified once
 
 
+def test_lambda_seq_peaks_in_its_prime_powers(table_1e6):
+    lim = 10**6
+    table_1e6.primes  # built once, outside the trace
+    f = moebius(lim)
+    prime_power_values(f, lim, table_1e6)  # f's one read, outside the trace
+    _, enumerate_peak = _traced_peak(lambda: prime_powers(lim, table_1e6))
+    lam, peak = _traced_peak(lambda: lambda_seq(f, lim, table_1e6))
+    # after prime_powers, the recursion holds p^k, k, log p, the level indices
+    # and the result, and one chunk of primes at a time; a Python list of the
+    # logs (5.7 MB here) or the recursion over all primes at once would add more
+    assert peak < enumerate_peak + 2**20
+    assert lam.pp_values.tobytes() == lambda_seq(moebius(lim), lim, table_1e6).pp_values.tobytes()
+
+
+def test_prefix_reads_count_the_prime_powers(table_1e6):
+    # a read up to m takes f's first len(prime_powers(m)) values; check the
+    # count at and next to perfect powers, where the integer roots turn
+    f = liouville(10**6)
+    near = {p**k + d for p in (2, 3, 5, 7, 997) for k in range(1, 20) for d in (-1, 0, 1)}
+    for m in sorted(n for n in near | set(range(1, 200)) | {10**6} if 1 <= n <= 10**6):
+        n = len(prime_powers(m, table_1e6)[0])
+        assert len(prime_power_values(f, m, table_1e6)) == n, m
+    assert f.pp_value(997, 2, table_1e6) == 1
+    with pytest.raises(OutOfRangeError):
+        f.pp_value(4, 1, table_1e6)
+
+
 def test_companion_split_examples(table):
     f = seeded_family(3, 1, 200, kind="cm")[0]
     _, g = companion_split(f, 200)
     for p, k in [(2, 1), (2, 2), (3, 2), (5, 1)]:
         want = 0 if k == 1 else 0  # completely multiplicative: g == delta
-        assert g.pp_value(p, k) == pytest.approx(want, abs=1e-12)
+        assert g.pp_value(p, k, table) == pytest.approx(want, abs=1e-12)
 
     mu = moebius(200)
     _, gmu = companion_split(mu, 200)
-    assert gmu.pp_value(2, 2) == pytest.approx(-1)  # mu(4) - mu(2)^2
+    assert gmu.pp_value(2, 2, table) == pytest.approx(-1)  # mu(4) - mu(2)^2
 
-    f2 = MultFn(lambda p, k: 1.0 if k == 1 else 0.5, 200)
+    f2 = scalar_multfn(lambda p, k: 1.0 if k == 1 else 0.5, 200)
     fstar, g2 = companion_split(f2, 200)
-    assert g2.pp_value(2, 2) == pytest.approx(-0.5)
+    assert g2.pp_value(2, 2, table) == pytest.approx(-0.5)
     conv = brute_convolve(
         {1: 1, 2: evaluate(g2, 2, table), 4: evaluate(g2, 4, table)},
         {1: 1, 2: evaluate(fstar, 2, table), 4: evaluate(fstar, 4, table)},
@@ -454,7 +487,7 @@ def test_cm_lambda_cross_check(table):
         for p in (2, 3, 5, 7, 11, 13):
             pk, k = p, 1
             while pk <= lim:
-                want = f.pp_value(p, 1) ** k * math.log(p)
+                want = f.pp_value(p, 1, table) ** k * math.log(p)
                 assert abs(lam.values[pk] - want) <= 1e-9
                 pk *= p
                 k += 1
@@ -469,7 +502,7 @@ def test_rule_called_once_per_prime_power_ascending(table, tmp_path, first):
         seen.append(p**k)
         return 0.5**k
 
-    f = MultFn(rule, lim)
+    f = scalar_multfn(rule, lim)
     runs = {
         "to_arith": lambda: to_arith(f, lim, table),
         "lambda_seq": lambda: lambda_seq(f, lim, table),

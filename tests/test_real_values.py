@@ -165,7 +165,7 @@ def test_pp_value_calls_an_array_rule_once_per_prime_power(table):
         seen.extend((p**k).tolist())
         return np.where(k == 1, -1.0, 0.0)
 
-    f = MultFn.from_arrays(rule, 200)
+    f = MultFn(rule, 200)
     for n in range(1, 201):
         assert evaluate(f, n, table) == evaluate(moebius(200), n, table)
     assert sorted(seen) == [n for n in range(2, 201) if len(trial_division(n)) == 1]

@@ -109,5 +109,5 @@ def test_block_sieve_property(table, seed, limit, kind):
     for part in (vals.real, vals.imag) if len(pks) else ():
         part[rng.integers(0, len(pks), 8)] = -0.0
         part[rng.integers(0, len(pks), 8)] = 0.0
-    f = MultFn.from_arrays(lambda p, k: vals[np.searchsorted(pks, p**k)], limit)
+    f = MultFn(lambda p, k: vals[np.searchsorted(pks, p**k)], limit)
     _same_bytes(f, limit, table)
