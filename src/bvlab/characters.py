@@ -192,10 +192,6 @@ class DirichletCharacter:
     def is_primitive(self) -> bool:
         return self.conductor == self.modulus
 
-    @property
-    def is_principal(self) -> bool:
-        return all(a == 0 for a in self.exponents)
-
     def value_exact(self, n: int) -> tuple[int, int] | None:
         """chi(n) as (t, L) with chi(n) = exp(2*pi*i*t/L); None if chi(n) = 0."""
         g = self.group

@@ -34,14 +34,13 @@ from .core_arith import PrimeTable
 from .errors import ParameterError
 from .multfun import (
     MultFn,
+    _prefix,
     character_fn,
     cm_from_arrays,
     liouville,
     log_twist,
     moebius,
     one,
-    prime_power_values,
-    prime_powers,
     restrict_to_primes,
     smooth_truncation,
     to_arith,
@@ -112,8 +111,7 @@ def save_pp_table(f: MultFn, limit: int, table: PrimeTable, path) -> None:
 
     The file is written at `path` as given: np.savez would add ".npz" to a name without it.
     """
-    values = prime_power_values(f, limit, table)
-    pks, ps, ks = prime_powers(limit, table)
+    pks, ps, ks, values = _prefix(f, limit, table)
     order = np.lexsort((ks, ps))
     with open(path, "wb") as fh:
         np.savez(fh, prime_powers=pks[order], values=values[order])

@@ -1,20 +1,23 @@
 """The class-C function algebra.
 
 A MultFn is a multiplicative function: a limit, a label and an array rule,
-int64 arrays p, k -> complex128 f(p^k). It is one array. The rule is called
-once, on the function's first read, over prime_powers(limit, table): every
-(p^k, p, k) with p^k <= limit, ascending in p^k. The result is checked on
-the unit disc and kept; every later read takes a prefix of it
-(prime_power_values: to_arith, lambda_seq, restrict_to_primes,
-save_pp_table) or looks a value up in it (pp_value, so evaluate). Rules that
-draw random values lazily, in call order, are read in that one order.
+int64 arrays p, k -> complex128 f(p^k). The rule is called once, on the
+function's first read, over the prime_powers enumeration at its limit:
+every (p^k, p, k) with p^k <= limit, ascending in p^k. The values are
+checked on the unit disc and kept with that enumeration, as four read-only
+arrays (p^k, p, k, f(p^k)). Every later read takes a prefix of the four
+(_prefix: to_arith, lambda_seq, restrict_to_primes, save_pp_table,
+prime_power_values) or looks a value up in them (pp_value, so evaluate).
+Rules that draw random values lazily, in call order, are read in that one
+order.
 
 The derived kinds (inverse, companion_split, smooth_truncation) are MultFns
-whose rule gets its base f's array over the same prime powers and builds
-its own from it, a level k = 1, 2, ... at a time, as lambda_seq walks its
-recursion: level k lists the p^k in ascending p, a prefix of the primes.
-Their values are not checked: the inverse of a function outside class C
-may leave the disc, and a companion's g reaches 2.
+whose rule gets its base f's prefix and builds its values from it, a level
+k = 1, 2, ... at a time, as lambda_seq walks its recursion: level k lists
+the p^k in ascending p, a prefix of the primes. They share the base's
+(p^k, p, k) and enumerate nothing. Their values are not checked: the
+inverse of a function outside class C may leave the disc, and a companion's
+g reaches 2.
 
 to_arith forms f(n) = f(n / p^e) f(p^e), p^e the spf-power part of n, and
 finds p^e with a sieve over each block of n: writing p's powers ascending,
@@ -59,8 +62,9 @@ class MultFn:
     rule(p, k) gives f(p^k) over int64 arrays. A function derived from a
     base is called rule(p, k, fv), fv the base's values at the same prime
     powers, and its limit may not exceed the base's. The first read, under
-    a lock, calls the rule over prime_powers(limit, table) and keeps the
-    result; a read whose table is below limit raises OutOfRangeError.
+    a lock, calls the rule over the prime_powers enumeration at limit, or
+    over the base's prefix, and keeps (p^k, p, k, f(p^k)), all read-only;
+    it raises OutOfRangeError when its table is below limit.
     """
 
     def __init__(self, rule: Callable, limit: int, label: str = "", base: Optional[MultFn] = None):
@@ -72,22 +76,24 @@ class MultFn:
         self.limit = limit
         self.label = label
         self.base = base
-        self._values = None
+        self._pp = None
         self._lock = threading.Lock()
 
-    def _read(self, table: PrimeTable) -> np.ndarray:
-        """f(p^k) over prime_powers(limit, table), from the one rule call.
+    def _read(self, table: PrimeTable) -> tuple[np.ndarray, ...]:
+        """(p^k, p, k, f(p^k)) for every p^k <= limit, from the one rule call.
 
         A rule without a base is checked on the unit disc, NaN included; the
         first offender is the least p^k.
         """
         with self._lock:
-            if self._values is None:
-                _pks, ps, ks = prime_powers(self.limit, table)
+            if self._pp is None:
                 if self.base is not None:
-                    fv = prime_power_values(self.base, self.limit, table)
+                    pks, ps, ks, fv = _prefix(self.base, self.limit, table)
                     v = np.asarray(self.rule(ps, ks, fv), dtype=np.complex128)
                 else:
+                    pks, ps, ks = prime_powers(self.limit, table)
+                    for a in (pks, ps, ks):
+                        a.setflags(write=False)  # shared with every reader and derived kind
                     v = np.asarray(self.rule(ps, ks), dtype=np.complex128)
                     bad = np.flatnonzero(~(np.hypot(v.real, v.imag) <= 1 + _TOL))
                     if len(bad):
@@ -95,16 +101,18 @@ class MultFn:
                         raise ClassViolationError(
                             f"|f({p}^{k})| = {abs(z)} exceeds 1 (label={self.label!r})"
                         )
-                v.setflags(write=False)  # readers get views of it
-                self._values = v
-        return self._values
+                v.setflags(write=False)
+                self._pp = (pks, ps, ks, v)
+        return self._pp
 
     def pp_value(self, p: int, k: int, table: PrimeTable) -> complex:
-        """f(p^k), looked up in the array."""
-        v = self._read(table)
-        if k < 1 or p < 2 or p**k > self.limit or not table.is_prime(p):
-            raise OutOfRangeError(f"{p}^{k} is not a prime power <= {self.limit}")
-        return complex(v[_count(p**k - 1, table)])
+        """f(p^k), looked up in the array: the slot of p^k must list this p and k."""
+        pks, ps, ks, v = self._read(table)
+        if k >= 1 and p >= 2 and p**k <= self.limit:
+            i = int(np.searchsorted(pks, p**k))
+            if i < len(pks) and ps[i] == p and ks[i] == k:
+                return complex(v[i])
+        raise OutOfRangeError(f"{p}^{k} is not a prime power <= {self.limit}")
 
 
 def _pack(pair) -> np.ndarray:
@@ -232,23 +240,18 @@ def prime_powers(limit: int, table: PrimeTable) -> tuple[np.ndarray, np.ndarray,
     return pk[order], p[order], k[order]
 
 
-def _count(m: int, table: PrimeTable) -> int:
-    """The number of prime powers <= m: the primes up to m^(1/k), summed over k."""
-    n, k = 0, 1
-    while 2**k <= m:
-        r = int(m ** (1 / k))  # within 1 of the integer k-th root
-        r -= r**k > m
-        r += (r + 1) ** k <= m
-        n += int(np.searchsorted(table.primes, r, side="right"))
-        k += 1
-    return n
+def _prefix(f: MultFn, limit: int, table: PrimeTable) -> tuple[np.ndarray, ...]:
+    """f's (p^k, p, k, f(p^k)) up to limit: views of the arrays its read kept."""
+    if limit > f.limit:
+        raise OutOfRangeError(f"limit={limit} exceeds function limit {f.limit}")
+    pp = f._read(table)
+    n = int(np.searchsorted(pp[0], limit, side="right"))
+    return tuple(a[:n] for a in pp)
 
 
 def prime_power_values(f: MultFn, limit: int, table: PrimeTable) -> np.ndarray:
-    """f(p^k) over prime_powers(limit, table), in its order: a prefix of f's array."""
-    if limit > f.limit:
-        raise OutOfRangeError(f"limit={limit} exceeds function limit {f.limit}")
-    return f._read(table)[: _count(limit, table)]
+    """f(p^k) for every p^k <= limit, ascending in p^k: a prefix of f's array."""
+    return _prefix(f, limit, table)[3]
 
 
 def _levels(fv: np.ndarray, ks: np.ndarray, step) -> np.ndarray:
@@ -308,8 +311,7 @@ def to_arith(f: MultFn, limit: int, table: PrimeTable) -> ArithFn:
     to the sign of zeros: a*c where the complex product forms a*c - b*d,
     b*d = +-0 (73,438 of Moebius's zeros at 10^7; none of Liouville's).
     """
-    pv = prime_power_values(f, limit, table)
-    pks, ps, ks = prime_powers(limit, table)
+    pks, ps, ks, pv = _prefix(f, limit, table)
     real = not pv.imag.any()
     pkf = pks.astype(np.float64)
     # the sieve's prime powers: p <= sqrt(limit), p descending, k ascending
@@ -424,7 +426,7 @@ class LambdaSeq:
     """lambda_f(n) for n <= limit, stored on the prime powers, where it lives.
 
     pp_values[i] is lambda_f(prime_powers[i]), prime_powers ascending as
-    prime_powers() lists them. `values` spreads them over a dense array on
+    prime_powers lists them. `values` spreads them over a dense array on
     0..limit (zero elsewhere), built on first use for callers that index
     by n. is_class_c records whether |lambda_f(p^k)| <= log p + 1e-9
     everywhere in range; first_violation is the least offending prime
@@ -451,9 +453,8 @@ def lambda_seq(f: MultFn, limit: int, table: PrimeTable) -> LambdaSeq:
     time, with each product and |.| formed as Python's scalar complex math
     forms it. log p is taken once per prime, by math.log.
     """
-    fv = prime_power_values(f, limit, table)
-    pks, ks = prime_powers(limit, table)[::2]  # p^1 lists the primes: p is not kept
-    primes = pks[ks == 1]
+    pks, ps, ks, fv = _prefix(f, limit, table)
+    primes = ps[ks == 1]
     logp = np.fromiter(map(math.log, memoryview(primes)), dtype=np.float64, count=len(primes))
     worst = []  # the least violating p^k of each level and chunk
 
@@ -492,8 +493,7 @@ def smooth_truncation(f: MultFn, y: float) -> MultFn:
 
 def restrict_to_primes(f: MultFn, table: PrimeTable, limit: int) -> ArithFn:
     """f * 1_P: the values of f at primes up to limit, zero elsewhere."""
-    pv = prime_power_values(f, limit, table)
-    _pks, ps, ks = prime_powers(limit, table)
+    _pks, ps, ks, pv = _prefix(f, limit, table)
     pv, ps = pv[ks == 1], ps[ks == 1]
     pv = pv if pv.imag.any() else pv.real
     vals = np.zeros(limit + 1, dtype=pv.dtype)

@@ -215,6 +215,11 @@ def full_primitive_set(q):
     return CharacterSet(members=tuple(primitivize(chi) for chi in enumerate_characters(q)))
 
 
+def is_principal(chi):
+    """Whether chi is the principal character mod its modulus."""
+    return all(a == 0 for a in chi.exponents)
+
+
 def cell_covers(cell, split):
     """Whether the dyadic cell holds the split's (u, v, P+(u), P-(v))."""
     return (

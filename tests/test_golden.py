@@ -15,7 +15,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from bvlab import build_prime_table
+from bvlab import build_prime_table, multfun
 from bvlab.cli import main
 from bvlab.discrepancy import residue_buckets
 from bvlab.funcspec import save_pp_table
@@ -179,10 +179,14 @@ def test_traced_run_wraps_the_layers(tmp_path):
 
 def test_algebra_commands_call_each_rule_once(tmp_path, monkeypatch, capsys):
     # a MultFn is read once: every rule, of f and of what is derived from it,
-    # runs once per command, and the outputs keep their bytes
+    # runs once per command, each base function enumerates its prime powers
+    # once and a derived one shares its base's, and the outputs keep their bytes
     monkeypatch.chdir(tmp_path)
+    assert main(next(a for a in COMMANDS if a[0] == "sieve-cache")) == 0  # bv-sum's --cache
     calls = []  # one count per MultFn built
     init = MultFn.__init__
+    enumerations = [0]
+    enumerate_pp = multfun.prime_powers
 
     def counting_init(self, rule, *args, **kwargs):
         calls.append(0)
@@ -194,19 +198,38 @@ def test_algebra_commands_call_each_rule_once(tmp_path, monkeypatch, capsys):
 
         init(self, counted, *args, **kwargs)
 
+    def counting_prime_powers(*a):
+        enumerations[0] += 1
+        return enumerate_pp(*a)
+
     monkeypatch.setattr(MultFn, "__init__", counting_init)
-    built = {}
-    for name in ("lambda-check", "inverse-check", "companion-check", "counterexample"):
+    monkeypatch.setattr(multfun, "prime_powers", counting_prime_powers)
+    built, enumerated = {}, {}
+    names = ("lambda-check", "inverse-check", "companion-check", "counterexample", "bv-sum",
+             "truncation-check")
+    for name in names:
         argv = next(a for a in COMMANDS if a[0] == name)
         calls.clear()
+        enumerations[0] = 0
         assert main(argv) == 0, argv
         built[name] = list(calls)
+        enumerated[name] = enumerations[0]
     capsys.readouterr()
     assert built == {
         "lambda-check": [1, 1],  # f, inverse
         "inverse-check": [1, 1],  # f, inverse
         "companion-check": [1, 1, 1, 1],  # f, f_star, g, the powerful indicator
         "counterexample": [1],  # f, read by the pointwise check and by --dump-f
+        "bv-sum": [1],  # f
+        "truncation-check": [1, 1],  # f, g
+    }
+    assert enumerated == {
+        "lambda-check": 1,  # f; the inverse is f's
+        "inverse-check": 1,
+        "companion-check": 2,  # f, and the powerful indicator, a base function of its own
+        "counterexample": 1,
+        "bv-sum": 1,
+        "truncation-check": 2,  # f and g, two base functions
     }
     for path in ("l.json", "i.json", "c.json", "ce.json", "ce.csv", "ce_values.npz"):
         assert hashlib.sha256((tmp_path / path).read_bytes()).hexdigest() == GOLDEN[path], path

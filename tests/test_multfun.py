@@ -11,6 +11,7 @@ from bvlab.funcspec import save_pp_table
 from bvlab.multfun import (
     _CHUNK,
     ArithFn,
+    MultFn,
     character_fn,
     class_c_check,
     companion_split,
@@ -359,24 +360,51 @@ def test_lambda_seq_peaks_in_its_prime_powers(table_1e6):
     prime_power_values(f, lim, table_1e6)  # f's one read, outside the trace
     _, enumerate_peak = _traced_peak(lambda: prime_powers(lim, table_1e6))
     lam, peak = _traced_peak(lambda: lambda_seq(f, lim, table_1e6))
-    # after prime_powers, the recursion holds p^k, k, log p, the level indices
-    # and the result, and one chunk of primes at a time; a Python list of the
-    # logs (5.7 MB here) or the recursion over all primes at once would add more
-    assert peak < enumerate_peak + 2**20
+    # the read f keeps its p^k, p and k, so the recursion enumerates nothing:
+    # it holds log p, the level indices and the result, and one chunk of
+    # primes at a time (3.4 MB here), below prime_powers' own transient; an
+    # enumeration again (5.0 MB), a Python list of the logs (5.7 MB) or the
+    # recursion over all primes at once would not fit
+    assert peak < 0.8 * enumerate_peak
     assert lam.pp_values.tobytes() == lambda_seq(moebius(lim), lim, table_1e6).pp_values.tobytes()
 
 
 def test_prefix_reads_count_the_prime_powers(table_1e6):
     # a read up to m takes f's first len(prime_powers(m)) values; check the
-    # count at and next to perfect powers, where the integer roots turn
+    # cut at and next to prime powers, where it moves
     f = liouville(10**6)
     near = {p**k + d for p in (2, 3, 5, 7, 997) for k in range(1, 20) for d in (-1, 0, 1)}
     for m in sorted(n for n in near | set(range(1, 200)) | {10**6} if 1 <= n <= 10**6):
         n = len(prime_powers(m, table_1e6)[0])
         assert len(prime_power_values(f, m, table_1e6)) == n, m
     assert f.pp_value(997, 2, table_1e6) == 1
+    # pp_value finds p^k's slot and checks that it lists this p and k: each of
+    # the first four is a prime power listed under another (p, k)
+    for p, k in [(4, 1), (8, 1), (9, 1), (4, 2), (2, 0), (1, 1), (6, 1), (2, 20), (10**6 + 3, 1)]:
+        with pytest.raises(OutOfRangeError):
+            f.pp_value(p, k, table_1e6)
+    g = liouville(10**4)
+    pks, ps, ks = prime_powers(10**4, table_1e6)
+    pv = prime_power_values(g, 10**4, table_1e6)
+    got = [g.pp_value(p, k, table_1e6) for p, k in zip(ps.tolist(), ks.tolist())]
+    assert np.array(got).tobytes() == pv.tobytes()
     with pytest.raises(OutOfRangeError):
-        f.pp_value(4, 1, table_1e6)
+        g.pp_value(10007, 1, table_1e6)  # a prime above g's limit
+    # the kept arrays are read-only: a rule that writes into its arguments,
+    # a base's shared arrays included, fails and leaves every later read alone
+    want = [a.tobytes() for a in (pks, ps, ks, pv)]
+
+    def writes_p(p, k, fv):
+        p[0] = 3
+        return fv
+
+    for rule in (writes_p, lambda p, k, fv: np.negative(fv, out=fv)):
+        with pytest.raises(ValueError):
+            prime_power_values(MultFn(rule, 10**4, base=g), 10**4, table_1e6)
+    with pytest.raises(ValueError):
+        prime_power_values(MultFn(lambda p, k: np.add(k, 1, out=k), 10**4), 10**4, table_1e6)
+    assert [a.tobytes() for a in g._read(table_1e6)] == want
+    assert [g.pp_value(p, k, table_1e6) for p, k in [(2, 1), (3, 2), (9973, 1)]] == [-1, 1, -1]
 
 
 def test_companion_split_examples(table):
