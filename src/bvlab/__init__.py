@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .core_arith import (  # noqa: F401
-    PRIME_INF,
     FactoredInteger,
     PrimeTable,
     build_prime_table,
@@ -11,8 +10,6 @@ from .core_arith import (  # noqa: F401
     factorize,
     load_prime_table,
     save_prime_table,
-    smoothness,
-    von_mangoldt,
 )
 from .errors import (  # noqa: F401
     ClassViolationError,

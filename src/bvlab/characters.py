@@ -290,25 +290,6 @@ def induce(psi: DirichletCharacter, q: int) -> DirichletCharacter:
     return chi
 
 
-def primitivize(chi: DirichletCharacter) -> DirichletCharacter:
-    """The primitive character (mod cond(chi)) that induces chi."""
-    r = chi.conductor
-    g = unit_group(r)
-    exps = []
-    for f, lift in zip(g.factors, g.generator_lifts):
-        # Lift to an integer congruent to the generator mod r and coprime
-        # to chi's modulus, where chi's value equals psi's.
-        n = lift
-        while math.gcd(n, chi.modulus) != 1:
-            n += r
-        tl = chi.value_exact(n)
-        assert tl is not None
-        exps.append(_exponent_from_value(tl[0], tl[1], f.order))
-    psi = _char_from_exponents(r, tuple(exps))
-    assert psi.conductor == r
-    return psi
-
-
 @dataclass(frozen=True)
 class CharacterSet:
     """A finite set of primitive characters (the correction set Xi)."""
@@ -329,9 +310,6 @@ class CharacterSet:
 
     def __iter__(self):
         return iter(self.members)
-
-    def __len__(self):
-        return len(self.members)
 
 
 def trivial_set() -> CharacterSet:

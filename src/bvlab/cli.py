@@ -479,7 +479,8 @@ def _cmd_companion_check(args):
     gd = to_arith(g, limit, table)
     gpp = prime_power_values(g, limit, table)
     worst_pk = float(np.max(np.hypot(gpp.real, gpp.imag), initial=0.0))
-    del g, gpp  # g's values, like fstar's below, go after their last reader; its p^k are f's
+    # g's values, like fstar's below, go after their last reader; the p^k are the table's
+    del g, gpp
     off = to_arith(powerful(limit), limit, table).values == 0
     off_powerful = float(np.max(np.abs(gd.values[off]), initial=0.0))
     del off

@@ -20,10 +20,6 @@ import numpy as np
 
 from .errors import OutOfRangeError, ParameterError
 
-# Smallest-prime-factor slot reported for n = 1: larger than any prime in
-# range, so "P_minus(n) > y" style comparisons behave at n = 1.
-PRIME_INF = 2**62
-
 _CACHE_MAGIC = b"BVLAB1"
 
 
@@ -33,7 +29,8 @@ class PrimeTable:
 
     spf[n] is the smallest prime factor of n; spf[n] == n iff n is prime.
     Entries 0 and 1 are padding. Immutable after construction, so it is
-    safe to share across worker threads.
+    safe to share across worker threads. It keeps the prime-power
+    enumeration that prime_powers last made and cuts smaller reads from it.
     """
 
     limit: int
@@ -43,6 +40,24 @@ class PrimeTable:
     def primes(self) -> np.ndarray:
         idx = np.arange(self.limit + 1, dtype=self.spf.dtype)
         return np.flatnonzero(self.spf == idx)[2:]  # drop the n=0,1 artifacts
+
+    def prime_powers(self, limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(p^k, p, k) for every p^k <= limit, ascending in p^k: read-only views.
+
+        The enumeration is made at limit, not at self.limit, and kept; a later
+        read up to no more than its limit takes a prefix of it. Threads that
+        race may each enumerate, and every read gets the same bytes.
+        """
+        if limit > self.limit:
+            raise OutOfRangeError(f"limit={limit} exceeds table limit {self.limit}")
+        kept = self.__dict__.get("_prime_powers")  # (its limit, p^k, p, k)
+        if kept is None or kept[0] < limit:
+            arrays = prime_powers(self.primes[self.primes <= limit], limit)
+            for a in arrays:
+                a.setflags(write=False)
+            kept = self.__dict__["_prime_powers"] = (limit, *arrays)
+        n = int(np.searchsorted(kept[1], limit, side="right"))
+        return tuple(a[:n] for a in kept[1:])
 
     def is_prime(self, n: int) -> bool:
         self._check(n)
@@ -129,24 +144,23 @@ def euler_phi(n: int, table: PrimeTable) -> int:
     return phi
 
 
-def von_mangoldt(n: int, table: PrimeTable) -> float:
-    """log p if n = p^k, else 0."""
-    fs = factorize(n, table).factors
-    if len(fs) == 1:
-        return math.log(fs[0][0])
-    return 0.0
+def prime_powers(primes: np.ndarray, limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p^k, p, k) for every prime power p^k <= limit, ascending in p^k.
 
-
-def smoothness(n: int, table: PrimeTable) -> tuple[int, int]:
-    """(P_plus, P_minus): largest and smallest prime factor of n.
-
-    n = 1 returns (1, PRIME_INF) by convention, so "n is y-smooth" is
-    exactly P_plus <= y for every n >= 1.
+    primes are the primes up to limit, ascending.
     """
-    fs = factorize(n, table).factors
-    if not fs:
-        return (1, PRIME_INF)
-    return (fs[-1][0], fs[0][0])
+    primes = primes.astype(np.int64)
+    levels = [primes]  # levels[k - 1]: the p^k <= limit, over a prefix of the primes
+    while len(levels[-1]):
+        pk = levels[-1]
+        # p^(k+1) <= limit, tested without overflow
+        n = int(np.count_nonzero(primes[: len(pk)] <= limit // pk))
+        levels.append(pk[:n] * primes[:n])
+    pk = np.concatenate(levels)
+    p = np.concatenate([primes[: len(level)] for level in levels])
+    k = np.repeat(np.arange(1, len(levels) + 1), [len(level) for level in levels])
+    order = np.argsort(pk, kind="stable")
+    return pk[order], p[order], k[order]
 
 
 def p_plus_array(limit: int, table: PrimeTable) -> np.ndarray:

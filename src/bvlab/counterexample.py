@@ -24,7 +24,7 @@ import numpy as np
 from .core_arith import PrimeTable, euler_phi, factorize
 from .discrepancy import plain_delta
 from .errors import InvariantViolationError, OutOfRangeError, ParameterError
-from .multfun import ArithFn, MultFn, evaluate, to_arith
+from .multfun import MultFn, to_arith
 
 DEFAULT_GAMMA = 2.0
 
@@ -108,38 +108,28 @@ def identity_validity_bound(spec: CounterexampleSpec) -> int:
 
 
 def pointwise_identity_check(
-    spec: CounterexampleSpec, n_range, table: PrimeTable, f: MultFn | None = None
+    spec: CounterexampleSpec, n_range: range, table: PrimeTable, f: MultFn | None = None
 ) -> float:
-    """max |f(n) - (|f(n)| - 2*[n in script_P])| over the given n; expected 0.
+    """max |f(n) - (|f(n)| - 2*[n in script_P])| over n_range, a non-empty step-1
+    range; expected 0.
 
     f is the spec's counterexample_multfn, built here unless passed in.
     """
     if f is None:
         f = counterexample_multfn(spec)
     bound = identity_validity_bound(spec)
-    if isinstance(n_range, range) and n_range.step == 1 and len(n_range) > 0:
-        lo, hi = n_range.start, n_range.stop - 1
-        if lo < 1 or hi > bound:
-            raise ParameterError(
-                f"range [{lo}, {hi}] outside the validity range [1, {bound}]"
-            )
-        fd = to_arith(f, hi, table).values
-        # |(f - |f|) + 2*[n in script_P]| in one buffer: f is in {-1, 0, 1} and
-        # the indicator in {0, 1}, so every step is exact on small integers
-        # and the maximum is the same float as from the identity as written
-        r = np.abs(fd)
-        np.subtract(fd, r, out=r)
-        sp = _script_P_array(spec)
-        r[sp[sp <= hi]] += 2  # script_P is a set: no index repeats
-        return float(np.max(np.abs(r, out=r)[lo : hi + 1]))
-    worst = 0.0
-    for n in n_range:
-        if not 1 <= n <= bound:
-            raise ParameterError(f"n={n} outside the validity range [1, {bound}]")
-        fn = evaluate(f, n, table)
-        rhs = abs(fn) - 2 * (n in spec.script_P)
-        worst = max(worst, abs(fn - rhs))
-    return worst
+    lo, hi = n_range.start, n_range.stop - 1
+    if n_range.step != 1 or not 1 <= lo <= hi <= bound:
+        raise ParameterError(f"range {n_range} is not a step-1 range in [1, {bound}]")
+    fd = to_arith(f, hi, table).values
+    # |(f - |f|) + 2*[n in script_P]| in one buffer: f is in {-1, 0, 1} and
+    # the indicator in {0, 1}, so every step is exact on small integers
+    # and the maximum is the same float as from the identity as written
+    r = np.abs(fd)
+    np.subtract(fd, r, out=r)
+    sp = _script_P_array(spec)
+    r[sp[sp <= hi]] += 2  # script_P is a set: no index repeats
+    return float(np.max(np.abs(r, out=r)[lo : hi + 1]))
 
 
 def range_extension_check(spec: CounterexampleSpec, table: PrimeTable) -> dict[int, bool]:
@@ -152,12 +142,6 @@ def range_extension_check(spec: CounterexampleSpec, table: PrimeTable) -> dict[i
         q = int(q)
         out[q] = np.count_nonzero(sp % q == 1) == np.count_nonzero(ps % q == 1)
     return out
-
-
-def script_P_indicator(spec: CounterexampleSpec) -> ArithFn:
-    vals = np.zeros(spec.x + 1)
-    vals[_script_P_array(spec)] = 1.0
-    return ArithFn(values=vals, limit=spec.x, label="1_scriptP")
 
 
 @dataclass

@@ -1,23 +1,22 @@
 """The class-C function algebra.
 
 A MultFn is a multiplicative function: a limit, a label and an array rule,
-int64 arrays p, k -> complex128 f(p^k). The rule is called once, on the
-function's first read, over the prime_powers enumeration at its limit:
-every (p^k, p, k) with p^k <= limit, ascending in p^k. The values are
-checked on the unit disc and kept with that enumeration, as four read-only
-arrays (p^k, p, k, f(p^k)). Every later read takes a prefix of the four
-(_prefix: to_arith, lambda_seq, restrict_to_primes, save_pp_table,
-prime_power_values) or looks a value up in them (pp_value, so evaluate).
-Rules that draw random values lazily, in call order, are read in that one
-order.
+int64 arrays p, k -> complex128 f(p^k). The sieve table owns the prime
+powers: PrimeTable.prime_powers lists every (p^k, p, k) with p^k <= limit,
+ascending in p^k, and keeps that enumeration. The rule is called once, on
+the function's first read, over the table's list at the function's limit.
+The values are checked on the unit disc and kept as one read-only array,
+f(p^k) only. Every later read takes a prefix of the table's three arrays
+and of f's values (_prefix: to_arith, lambda_seq, restrict_to_primes,
+save_pp_table, prime_power_values, pp_value). Rules that draw random values
+lazily, in call order, are read in that one order.
 
 The derived kinds (inverse, companion_split, smooth_truncation) are MultFns
 whose rule gets its base f's prefix and builds its values from it, a level
 k = 1, 2, ... at a time, as lambda_seq walks its recursion: level k lists
-the p^k in ascending p, a prefix of the primes. They share the base's
-(p^k, p, k) and enumerate nothing. Their values are not checked: the
-inverse of a function outside class C may leave the disc, and a companion's
-g reaches 2.
+the p^k in ascending p, a prefix of the primes. Their values are not
+checked: the inverse of a function outside class C may leave the disc, and
+a companion's g reaches 2.
 
 to_arith forms f(n) = f(n / p^e) f(p^e), p^e the spf-power part of n, and
 finds p^e with a sieve over each block of n: writing p's powers ascending,
@@ -29,7 +28,7 @@ An ArithFn is a dense value array for non-multiplicative objects
 discrepancy machinery, which wants whole arrays anyway. It is float64
 exactly when its values are real, built so from the start: to_arith,
 restrict_to_primes and the convolutions work in float64 on real values,
-delta_fn and script_P_indicator are float64, and log_twist keeps float64.
+and log_twist keeps float64.
 Everything else is complex128.
 
 The log-derivative coefficients lambda_f live on prime powers and satisfy
@@ -43,7 +42,6 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -62,9 +60,9 @@ class MultFn:
     rule(p, k) gives f(p^k) over int64 arrays. A function derived from a
     base is called rule(p, k, fv), fv the base's values at the same prime
     powers, and its limit may not exceed the base's. The first read, under
-    a lock, calls the rule over the prime_powers enumeration at limit, or
-    over the base's prefix, and keeps (p^k, p, k, f(p^k)), all read-only;
-    it raises OutOfRangeError when its table is below limit.
+    a lock, calls the rule over the table's prime powers up to limit and
+    keeps the values alone, read-only, in the table's order; it raises
+    OutOfRangeError when its table is below limit.
     """
 
     def __init__(self, rule: Callable, limit: int, label: str = "", base: Optional[MultFn] = None):
@@ -76,24 +74,22 @@ class MultFn:
         self.limit = limit
         self.label = label
         self.base = base
-        self._pp = None
+        self._values = None
         self._lock = threading.Lock()
 
-    def _read(self, table: PrimeTable) -> tuple[np.ndarray, ...]:
-        """(p^k, p, k, f(p^k)) for every p^k <= limit, from the one rule call.
+    def _read(self, table: PrimeTable) -> np.ndarray:
+        """f(p^k) for every p^k <= limit, ascending in p^k, from the one rule call.
 
         A rule without a base is checked on the unit disc, NaN included; the
         first offender is the least p^k.
         """
         with self._lock:
-            if self._pp is None:
+            if self._values is None:
                 if self.base is not None:
-                    pks, ps, ks, fv = _prefix(self.base, self.limit, table)
+                    _pks, ps, ks, fv = _prefix(self.base, self.limit, table)
                     v = np.asarray(self.rule(ps, ks, fv), dtype=np.complex128)
                 else:
-                    pks, ps, ks = prime_powers(self.limit, table)
-                    for a in (pks, ps, ks):
-                        a.setflags(write=False)  # shared with every reader and derived kind
+                    _pks, ps, ks = table.prime_powers(self.limit)
                     v = np.asarray(self.rule(ps, ks), dtype=np.complex128)
                     bad = np.flatnonzero(~(np.hypot(v.real, v.imag) <= 1 + _TOL))
                     if len(bad):
@@ -102,12 +98,12 @@ class MultFn:
                             f"|f({p}^{k})| = {abs(z)} exceeds 1 (label={self.label!r})"
                         )
                 v.setflags(write=False)
-                self._pp = (pks, ps, ks, v)
-        return self._pp
+                self._values = v
+        return self._values
 
     def pp_value(self, p: int, k: int, table: PrimeTable) -> complex:
         """f(p^k), looked up in the array: the slot of p^k must list this p and k."""
-        pks, ps, ks, v = self._read(table)
+        pks, ps, ks, v = _prefix(self, self.limit, table)
         if k >= 1 and p >= 2 and p**k <= self.limit:
             i = int(np.searchsorted(pks, p**k))
             if i < len(pks) and ps[i] == p and ks[i] == k:
@@ -171,27 +167,6 @@ def character_fn(chi, limit: int) -> MultFn:
     return cm_from_arrays(lambda p: at[p % chi.modulus], limit, label=chi.serialize())
 
 
-def evaluate(f: MultFn, n: int, table: PrimeTable) -> complex:
-    """f(n) as the product of f(p^k) over the factorization of n."""
-    if n < 1:
-        raise ParameterError(f"n must be positive, got {n}")
-    if n > f.limit:
-        raise OutOfRangeError(f"n={n} exceeds function limit {f.limit}")
-    if n > table.limit:
-        raise OutOfRangeError(f"n={n} exceeds table limit {table.limit}")
-    spf = table.spf
-    out = 1 + 0j
-    m = n
-    while m > 1:
-        p = int(spf[m])
-        k = 0
-        while m % p == 0:
-            m //= p
-            k += 1
-        out *= f.pp_value(p, k, table)
-    return out
-
-
 @dataclass
 class ArithFn:
     """Dense values for 0..limit (index 0 unused, kept at 0).
@@ -222,31 +197,13 @@ class ArithFn:
         return self.values.dtype == np.float64
 
 
-def prime_powers(limit: int, table: PrimeTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(p^k, p, k) for every prime power p^k <= limit, ascending in p^k."""
-    if limit > table.limit:
-        raise OutOfRangeError(f"limit={limit} exceeds table limit {table.limit}")
-    primes = table.primes[table.primes <= limit].astype(np.int64)
-    levels = [primes]  # levels[k - 1]: the p^k <= limit, over a prefix of the primes
-    while len(levels[-1]):
-        pk = levels[-1]
-        # p^(k+1) <= limit, tested without overflow
-        n = int(np.count_nonzero(primes[: len(pk)] <= limit // pk))
-        levels.append(pk[:n] * primes[:n])
-    pk = np.concatenate(levels)
-    p = np.concatenate([primes[: len(level)] for level in levels])
-    k = np.repeat(np.arange(1, len(levels) + 1), [len(level) for level in levels])
-    order = np.argsort(pk, kind="stable")
-    return pk[order], p[order], k[order]
-
-
 def _prefix(f: MultFn, limit: int, table: PrimeTable) -> tuple[np.ndarray, ...]:
-    """f's (p^k, p, k, f(p^k)) up to limit: views of the arrays its read kept."""
+    """(p^k, p, k, f(p^k)) up to limit: views of the table's arrays and of f's values."""
     if limit > f.limit:
         raise OutOfRangeError(f"limit={limit} exceeds function limit {f.limit}")
-    pp = f._read(table)
-    n = int(np.searchsorted(pp[0], limit, side="right"))
-    return tuple(a[:n] for a in pp)
+    fv = f._read(table)
+    pks, ps, ks = table.prime_powers(limit)
+    return pks, ps, ks, fv[: len(pks)]
 
 
 def prime_power_values(f: MultFn, limit: int, table: PrimeTable) -> np.ndarray:
@@ -397,13 +354,6 @@ def dirichlet_convolve(f: ArithFn, g: ArithFn, limit: int) -> ArithFn:
     return ArithFn(values=h, limit=limit, label=f"({f.label}*{g.label})")
 
 
-def delta_fn(limit: int) -> ArithFn:
-    """The convolution identity: 1 at n=1, else 0."""
-    v = np.zeros(limit + 1)
-    v[1] = 1
-    return ArithFn(values=v, limit=limit, label="delta")
-
-
 def inverse(f: MultFn, limit: int) -> MultFn:
     """Convolution inverse g: (f*g)(n) = [n=1], via the prime-power recursion.
 
@@ -426,11 +376,9 @@ class LambdaSeq:
     """lambda_f(n) for n <= limit, stored on the prime powers, where it lives.
 
     pp_values[i] is lambda_f(prime_powers[i]), prime_powers ascending as
-    prime_powers lists them. `values` spreads them over a dense array on
-    0..limit (zero elsewhere), built on first use for callers that index
-    by n. is_class_c records whether |lambda_f(p^k)| <= log p + 1e-9
-    everywhere in range; first_violation is the least offending prime
-    power, if any.
+    PrimeTable.prime_powers lists them. is_class_c records whether
+    |lambda_f(p^k)| <= log p + 1e-9 everywhere in range; first_violation is
+    the least offending prime power, if any.
     """
 
     prime_powers: np.ndarray
@@ -438,12 +386,6 @@ class LambdaSeq:
     limit: int
     is_class_c: bool
     first_violation: Optional[int] = None
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        out = np.zeros(self.limit + 1, dtype=np.complex128)
-        out[self.prime_powers] = self.pp_values
-        return out
 
 
 def lambda_seq(f: MultFn, limit: int, table: PrimeTable) -> LambdaSeq:

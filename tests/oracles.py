@@ -9,16 +9,26 @@ import math
 
 import numpy as np
 
-from bvlab.characters import CharacterSet, enumerate_characters, primitive_value_matrix, primitivize
-from bvlab.errors import OutOfRangeError
+from bvlab.characters import (
+    CharacterSet,
+    DirichletCharacter,
+    _char_from_exponents,
+    _exponent_from_value,
+    enumerate_characters,
+    primitive_value_matrix,
+    unit_group,
+)
+from bvlab.core_arith import PrimeTable, factorize
+from bvlab.counterexample import CounterexampleSpec, _script_P_array
+from bvlab.errors import OutOfRangeError, ParameterError
 from bvlab.multfun import (
     _BLOCK,
     ArithFn,
+    LambdaSeq,
     MultFn,
     _cmul,
     cm_from_arrays,
     prime_power_values,
-    prime_powers,
 )
 
 
@@ -97,7 +107,7 @@ def complex_to_arith(f, limit, table):
     [lo, min(2 lo, lo + 2^18)), each product formed as Python's complex *
     forms it.
     """
-    pks, ps, _ks = prime_powers(limit, table)
+    pks, ps, _ks = table.prime_powers(limit)
     pv = prime_power_values(f, limit, table)
     pos = np.zeros(limit + 1, dtype=np.int32)
     pos[pks] = np.arange(len(pks), dtype=np.int32)
@@ -132,7 +142,7 @@ def spf_sweep_to_arith(f, limit, table):
     """
     if limit > f.limit:
         raise OutOfRangeError(f"limit={limit} exceeds function limit {f.limit}")
-    pks, ps, _ks = prime_powers(limit, table)
+    pks, ps, _ks = table.prime_powers(limit)
     pv = prime_power_values(f, limit, table)
     real = not pv.imag.any()
     # pos[n]: index in pks of the spf-power part of n; nxt[i]: index of
@@ -351,3 +361,95 @@ def scalar_restrict_to_primes(f, table, limit):
     for p in table.primes[table.primes <= limit]:
         vals[p] = f.pp_value(int(p), 1, table)
     return vals
+
+
+# --- scalar helpers no command runs -----------------------------------------
+# Per-n and per-character functions that bvlab once exported; the tests use
+# them as references and as inputs.
+
+# Smallest-prime-factor slot reported for n = 1: larger than any prime in
+# range, so "P_minus(n) > y" style comparisons behave at n = 1.
+PRIME_INF = 2**62
+
+
+def von_mangoldt(n: int, table: PrimeTable) -> float:
+    """log p if n = p^k, else 0."""
+    fs = factorize(n, table).factors
+    if len(fs) == 1:
+        return math.log(fs[0][0])
+    return 0.0
+
+
+def smoothness(n: int, table: PrimeTable) -> tuple[int, int]:
+    """(P_plus, P_minus): largest and smallest prime factor of n.
+
+    n = 1 returns (1, PRIME_INF) by convention, so "n is y-smooth" is
+    exactly P_plus <= y for every n >= 1.
+    """
+    fs = factorize(n, table).factors
+    if not fs:
+        return (1, PRIME_INF)
+    return (fs[-1][0], fs[0][0])
+
+
+def primitivize(chi: DirichletCharacter) -> DirichletCharacter:
+    """The primitive character (mod cond(chi)) that induces chi."""
+    r = chi.conductor
+    g = unit_group(r)
+    exps = []
+    for f, lift in zip(g.factors, g.generator_lifts):
+        # Lift to an integer congruent to the generator mod r and coprime
+        # to chi's modulus, where chi's value equals psi's.
+        n = lift
+        while math.gcd(n, chi.modulus) != 1:
+            n += r
+        tl = chi.value_exact(n)
+        assert tl is not None
+        exps.append(_exponent_from_value(tl[0], tl[1], f.order))
+    psi = _char_from_exponents(r, tuple(exps))
+    assert psi.conductor == r
+    return psi
+
+
+def script_P_indicator(spec: CounterexampleSpec) -> ArithFn:
+    vals = np.zeros(spec.x + 1)
+    vals[_script_P_array(spec)] = 1.0
+    return ArithFn(values=vals, limit=spec.x, label="1_scriptP")
+
+
+def delta_fn(limit: int) -> ArithFn:
+    """The convolution identity: 1 at n=1, else 0."""
+    v = np.zeros(limit + 1)
+    v[1] = 1
+    return ArithFn(values=v, limit=limit, label="delta")
+
+
+def evaluate(f: MultFn, n: int, table: PrimeTable) -> complex:
+    """f(n) as the product of f(p^k) over the factorization of n."""
+    if n < 1:
+        raise ParameterError(f"n must be positive, got {n}")
+    if n > f.limit:
+        raise OutOfRangeError(f"n={n} exceeds function limit {f.limit}")
+    if n > table.limit:
+        raise OutOfRangeError(f"n={n} exceeds table limit {table.limit}")
+    spf = table.spf
+    out = 1 + 0j
+    m = n
+    while m > 1:
+        p = int(spf[m])
+        k = 0
+        while m % p == 0:
+            m //= p
+            k += 1
+        out *= f.pp_value(p, k, table)
+    return out
+
+
+def lambda_values(lam: LambdaSeq) -> np.ndarray:
+    """lambda_f over 0..limit as a dense complex128 array, zero off the prime
+    powers; spread from lam.pp_values on the first call for lam and kept on it."""
+    dense = lam.__dict__.get("_dense")
+    if dense is None:
+        dense = lam.__dict__["_dense"] = np.zeros(lam.limit + 1, dtype=np.complex128)
+        dense[lam.prime_powers] = lam.pp_values
+    return dense

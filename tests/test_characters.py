@@ -10,10 +10,9 @@ from bvlab.characters import (
     induce,
     induced_set,
     primitive_characters,
-    primitivize,
     trivial_set,
 )
-from oracles import full_primitive_set, is_principal, phi_naive, trial_division
+from oracles import full_primitive_set, is_principal, phi_naive, primitivize, trial_division
 
 
 def moebius_naive(n):

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from bvlab import (
-    PRIME_INF,
     OutOfRangeError,
     ParameterError,
     build_prime_table,
@@ -16,11 +15,17 @@ from bvlab import (
     factorize,
     load_prime_table,
     save_prime_table,
-    smoothness,
-    von_mangoldt,
 )
 from bvlab.cli import main
-from oracles import is_prime_naive, phi_naive, plain_spf, trial_division
+from oracles import (
+    PRIME_INF,
+    is_prime_naive,
+    phi_naive,
+    plain_spf,
+    smoothness,
+    trial_division,
+    von_mangoldt,
+)
 
 
 def test_spf_examples_small():

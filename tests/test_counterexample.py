@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bvlab import euler_phi, smoothness
+from bvlab import euler_phi
 from bvlab.counterexample import (
     CounterexampleSpec,
     counterexample_multfn,
@@ -15,10 +15,10 @@ from bvlab.counterexample import (
     pointwise_identity_check,
     primes_with_divisor_in,
     range_extension_check,
-    script_P_indicator,
 )
 from bvlab.discrepancy import delta
-from bvlab.multfun import class_c_check, evaluate, to_arith
+from bvlab.multfun import class_c_check, to_arith
+from oracles import evaluate, script_P_indicator, smoothness
 
 
 def spec_for(x, gamma, table, Q=None):
@@ -87,9 +87,10 @@ def test_pointwise_identity(table_1e5):
     spec = spec_for(x, 2.0, table_1e5)
     bound = identity_validity_bound(spec)
     assert pointwise_identity_check(spec, range(1, min(bound, 2 * 10**4) + 1), table_1e5) == 0
-    # scalar path agrees
+    # one-element ranges agree
     some = [1, 2, 97, 9973, next(iter(spec.script_P))]
-    assert pointwise_identity_check(spec, some, table_1e5) == 0
+    for n in some:
+        assert pointwise_identity_check(spec, range(n, n + 1), table_1e5) == 0
 
 
 def test_pointwise_identity_on_script_primes(table_1e5):

@@ -4,6 +4,7 @@ to the sha256 of every output, and the library names the benchmark traces.
 A change that moves an output on purpose says why and updates its hash here.
 """
 
+import ast
 import hashlib
 import importlib
 import importlib.util
@@ -13,9 +14,10 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
-from bvlab import build_prime_table, multfun
+from bvlab import build_prime_table, core_arith
 from bvlab.cli import main
 from bvlab.discrepancy import residue_buckets
 from bvlab.funcspec import save_pp_table
@@ -161,6 +163,39 @@ def test_traced_layers_resolve():
     assert list(inspect.signature(residue_buckets).parameters)[:2] == ["values", "m"]
 
 
+def test_src_keeps_only_what_it_runs():
+    # every top-level function and non-dunder method of src/bvlab is named in
+    # the package outside its own body and __init__.py, or is a layer that
+    # bench/runner.py wraps by name; what no command reaches lives in tests
+    path = ROOT / "bench" / "runner.py"
+    spec = importlib.util.spec_from_file_location("bench_runner", path)
+    runner = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(runner)
+    traced = {(mod_name, attr) for mod_name, attr, _kind, _extras in runner.LAYERS}
+
+    def names(node):
+        return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                       if isinstance(n, (ast.Name, ast.Attribute)))
+
+    src = sorted((ROOT / "src" / "bvlab").glob("*.py"))
+    trees = {p.stem: ast.parse(p.read_text()) for p in src}
+    used = sum((names(tree) for mod, tree in trees.items() if mod != "__init__"), Counter())
+    unreached = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defs = [(node.name, node)]
+            elif isinstance(node, ast.ClassDef):
+                defs = [(f"{node.name}.{m.name}", m) for m in node.body
+                        if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")]
+            else:
+                continue
+            for qualname, fn in defs:
+                if used[fn.name] == names(fn)[fn.name] and (mod, qualname) not in traced:
+                    unreached.append(f"{mod}.{qualname}")
+    assert unreached == []
+
+
 def test_traced_run_wraps_the_layers(tmp_path):
     # the same names, wrapped by the runner itself around a command that reads a MultFn
     out = tmp_path / "l.json"
@@ -179,14 +214,14 @@ def test_traced_run_wraps_the_layers(tmp_path):
 
 def test_algebra_commands_call_each_rule_once(tmp_path, monkeypatch, capsys):
     # a MultFn is read once: every rule, of f and of what is derived from it,
-    # runs once per command, each base function enumerates its prime powers
-    # once and a derived one shares its base's, and the outputs keep their bytes
+    # runs once per command, the table enumerates its prime powers once for
+    # every function read over it, and the outputs keep their bytes
     monkeypatch.chdir(tmp_path)
     assert main(next(a for a in COMMANDS if a[0] == "sieve-cache")) == 0  # bv-sum's --cache
     calls = []  # one count per MultFn built
     init = MultFn.__init__
     enumerations = [0]
-    enumerate_pp = multfun.prime_powers
+    enumerate_pp = core_arith.prime_powers
 
     def counting_init(self, rule, *args, **kwargs):
         calls.append(0)
@@ -203,7 +238,7 @@ def test_algebra_commands_call_each_rule_once(tmp_path, monkeypatch, capsys):
         return enumerate_pp(*a)
 
     monkeypatch.setattr(MultFn, "__init__", counting_init)
-    monkeypatch.setattr(multfun, "prime_powers", counting_prime_powers)
+    monkeypatch.setattr(core_arith, "prime_powers", counting_prime_powers)
     built, enumerated = {}, {}
     names = ("lambda-check", "inverse-check", "companion-check", "counterexample", "bv-sum",
              "truncation-check")
@@ -224,12 +259,12 @@ def test_algebra_commands_call_each_rule_once(tmp_path, monkeypatch, capsys):
         "truncation-check": [1, 1],  # f, g
     }
     assert enumerated == {
-        "lambda-check": 1,  # f; the inverse is f's
+        "lambda-check": 1,  # the table's, for f and its inverse
         "inverse-check": 1,
-        "companion-check": 2,  # f, and the powerful indicator, a base function of its own
+        "companion-check": 1,  # f and the powerful indicator share the table's
         "counterexample": 1,
         "bv-sum": 1,
-        "truncation-check": 2,  # f and g, two base functions
+        "truncation-check": 1,  # f and g share the table's
     }
     for path in ("l.json", "i.json", "c.json", "ce.json", "ce.csv", "ce_values.npz"):
         assert hashlib.sha256((tmp_path / path).read_bytes()).hexdigest() == GOLDEN[path], path

@@ -1,23 +1,23 @@
 import math
+import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from bvlab import ClassViolationError, OutOfRangeError, ParameterError
+from bvlab import ClassViolationError, OutOfRangeError, ParameterError, PrimeTable, core_arith
 from bvlab.characters import enumerate_characters
 from bvlab.funcspec import save_pp_table
 from bvlab.multfun import (
     _CHUNK,
     ArithFn,
     MultFn,
+    _prefix,
     character_fn,
     class_c_check,
     companion_split,
-    delta_fn,
     dirichlet_convolve,
-    evaluate,
     inverse,
     lambda_seq,
     liouville,
@@ -25,7 +25,6 @@ from bvlab.multfun import (
     moebius,
     one,
     prime_power_values,
-    prime_powers,
     restrict_to_primes,
     smooth_truncation,
     to_arith,
@@ -35,7 +34,10 @@ from families import seeded_family
 from oracles import (
     brute_convolve,
     cm_multfn,
+    delta_fn,
     divisors,
+    evaluate,
+    lambda_values,
     one_pass_convolution,
     scalar_multfn,
     trial_division,
@@ -138,18 +140,18 @@ def test_inverse_examples(table):
 
 def test_lambda_examples(table):
     lam1 = lambda_seq(one(100), 100, table)
-    assert lam1.values[9] == pytest.approx(math.log(3))
-    assert lam1.values[6] == 0
+    assert lambda_values(lam1)[9] == pytest.approx(math.log(3))
+    assert lambda_values(lam1)[6] == 0
     lamu = lambda_seq(moebius(100), 100, table)
-    assert lamu.values[2] == pytest.approx(-math.log(2))
+    assert lambda_values(lamu)[2] == pytest.approx(-math.log(2))
 
 
 def test_lambda_of_one_is_von_mangoldt(table):
     lam = lambda_seq(one(LIMIT), LIMIT, table)
-    from bvlab import von_mangoldt
+    from oracles import von_mangoldt
 
     for n in range(1, 2000):
-        assert abs(lam.values[n] - von_mangoldt(n, table)) <= 1e-12
+        assert abs(lambda_values(lam)[n] - von_mangoldt(n, table)) <= 1e-12
 
 
 def test_class_c_examples(table):
@@ -343,14 +345,14 @@ def test_lambda_seq_holds_no_dense_array(table_1e6, make):
     table_1e6.primes  # built once, outside the trace
     lam, peak = _traced_peak(lambda: lambda_seq(make(lim), lim, table_1e6))
     assert peak < 16 * (lim + 1)  # one dense complex128 array over 0..limit
-    assert lam.prime_powers.tobytes() == prime_powers(lim, table_1e6)[0].tobytes()
-    dense = lam.values
+    assert lam.prime_powers.tobytes() == table_1e6.prime_powers(lim)[0].tobytes()
+    dense = lambda_values(lam)
     assert dense.dtype == np.complex128 and dense.shape == (lim + 1,)
     assert dense[lam.prime_powers].tobytes() == lam.pp_values.tobytes()
     off = np.ones(lim + 1, dtype=bool)
     off[lam.prime_powers] = False
     assert not dense[off].any()
-    assert lam.values is dense  # densified once
+    assert lambda_values(lam) is dense  # densified once
 
 
 def test_lambda_seq_peaks_in_its_prime_powers(table_1e6):
@@ -358,7 +360,8 @@ def test_lambda_seq_peaks_in_its_prime_powers(table_1e6):
     table_1e6.primes  # built once, outside the trace
     f = moebius(lim)
     prime_power_values(f, lim, table_1e6)  # f's one read, outside the trace
-    _, enumerate_peak = _traced_peak(lambda: prime_powers(lim, table_1e6))
+    primes = table_1e6.primes[table_1e6.primes <= lim]
+    _, enumerate_peak = _traced_peak(lambda: core_arith.prime_powers(primes, lim))
     lam, peak = _traced_peak(lambda: lambda_seq(f, lim, table_1e6))
     # the read f keeps its p^k, p and k, so the recursion enumerates nothing:
     # it holds log p, the level indices and the result, and one chunk of
@@ -369,14 +372,55 @@ def test_lambda_seq_peaks_in_its_prime_powers(table_1e6):
     assert lam.pp_values.tobytes() == lambda_seq(moebius(lim), lim, table_1e6).pp_values.tobytes()
 
 
-def test_prefix_reads_count_the_prime_powers(table_1e6):
+def test_prefix_reads_count_the_prime_powers(table_1e6, monkeypatch):
     # a read up to m takes f's first len(prime_powers(m)) values; check the
-    # cut at and next to prime powers, where it moves
+    # cut at and next to prime powers, where it moves, and that the table's
+    # cut of its kept enumeration is a fresh enumeration at m, byte for byte
     f = liouville(10**6)
     near = {p**k + d for p in (2, 3, 5, 7, 997) for k in range(1, 20) for d in (-1, 0, 1)}
     for m in sorted(n for n in near | set(range(1, 200)) | {10**6} if 1 <= n <= 10**6):
-        n = len(prime_powers(m, table_1e6)[0])
+        fresh = core_arith.prime_powers(table_1e6.primes[table_1e6.primes <= m], m)
+        kept = table_1e6.prime_powers(m)
+        assert [a.tobytes() for a in kept] == [a.tobytes() for a in fresh], m
+        assert not any(a.flags.writeable for a in kept), m
+        n = len(fresh[0])
         assert len(prime_power_values(f, m, table_1e6)) == n, m
+    with pytest.raises(OutOfRangeError):
+        table_1e6.prime_powers(10**6 + 1)
+    # the table reads without a lock: threads that race over one table may each
+    # enumerate, and every read still gets its own limit's bytes
+    table = PrimeTable(limit=table_1e6.limit, spf=table_1e6.spf)
+    limits = [10**3, 10**5, 10**4, 10**5 + 3] * 4
+    want = {m: [a.tobytes() for a in table_1e6.prime_powers(m)] for m in limits}
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as ex:
+            reads = [ex.submit(table.prime_powers, m) for m in limits]
+            got = [[a.tobytes() for a in r.result(timeout=60)] for r in reads]
+    finally:
+        sys.setswitchinterval(switch)
+    assert got == [want[m] for m in limits]
+    # a table enumerates at the limit it is read at, never above it: one
+    # enumeration serves every smaller read, and a larger one enumerates again
+    table = PrimeTable(limit=table_1e6.limit, spf=table_1e6.spf)
+    enumerate_pp = core_arith.prime_powers
+    calls = []
+
+    def counting_prime_powers(primes, limit):
+        calls.append(limit)
+        return enumerate_pp(primes, limit)
+
+    monkeypatch.setattr(core_arith, "prime_powers", counting_prime_powers)
+    h = liouville(10**4)
+    before = [a.tobytes() for a in _prefix(h, 10**4, table)]
+    assert calls == [10**4]  # a table at 10^6 read at 10^4 stops at 10^4
+    assert len(table.prime_powers(10**3)[0]) == len(table_1e6.prime_powers(10**3)[0])
+    assert calls == [10**4]
+    assert len(table.prime_powers(10**5)[0]) == len(table_1e6.prime_powers(10**5)[0])
+    assert calls == [10**4, 10**5]
+    assert [a.tobytes() for a in _prefix(h, 10**4, table)] == before
+    assert calls == [10**4, 10**5]
     assert f.pp_value(997, 2, table_1e6) == 1
     # pp_value finds p^k's slot and checks that it lists this p and k: each of
     # the first four is a prime power listed under another (p, k)
@@ -384,7 +428,7 @@ def test_prefix_reads_count_the_prime_powers(table_1e6):
         with pytest.raises(OutOfRangeError):
             f.pp_value(p, k, table_1e6)
     g = liouville(10**4)
-    pks, ps, ks = prime_powers(10**4, table_1e6)
+    pks, ps, ks = table_1e6.prime_powers(10**4)
     pv = prime_power_values(g, 10**4, table_1e6)
     got = [g.pp_value(p, k, table_1e6) for p, k in zip(ps.tolist(), ks.tolist())]
     assert np.array(got).tobytes() == pv.tobytes()
@@ -403,7 +447,7 @@ def test_prefix_reads_count_the_prime_powers(table_1e6):
             prime_power_values(MultFn(rule, 10**4, base=g), 10**4, table_1e6)
     with pytest.raises(ValueError):
         prime_power_values(MultFn(lambda p, k: np.add(k, 1, out=k), 10**4), 10**4, table_1e6)
-    assert [a.tobytes() for a in g._read(table_1e6)] == want
+    assert [a.tobytes() for a in _prefix(g, g.limit, table_1e6)] == want
     assert [g.pp_value(p, k, table_1e6) for p, k in [(2, 1), (3, 2), (9973, 1)]] == [-1, 1, -1]
 
 
@@ -450,7 +494,7 @@ def test_lambda_identity_family(table):
         gd = to_arith(inverse(f, lim), lim, table)
         flog = log_twist(fd, 1.0)
         rhs = dirichlet_convolve(gd, flog, lim)
-        assert np.max(np.abs(lam.values - rhs.values)) <= 1e-8
+        assert np.max(np.abs(lambda_values(lam) - rhs.values)) <= 1e-8
 
 
 def test_lambda_negation_family(table):
@@ -459,7 +503,7 @@ def test_lambda_negation_family(table):
         g = inverse(f, lim)
         lf = lambda_seq(f, lim, table)
         lg = lambda_seq(g, lim, table)
-        assert np.max(np.abs(lf.values + lg.values)) <= 1e-9
+        assert np.max(np.abs(lambda_values(lf) + lambda_values(lg))) <= 1e-9
 
 
 def test_class_closure_family(table):
@@ -503,7 +547,7 @@ def test_flog_equals_lambda_star_f(table):
         lam = lambda_seq(f, lim, table)
         lhs = log_twist(fd, 1.0)
         rhs = dirichlet_convolve(
-            ArithFn(values=lam.values.copy(), limit=lim), fd, lim
+            ArithFn(values=lambda_values(lam).copy(), limit=lim), fd, lim
         )
         assert np.max(np.abs(lhs.values - rhs.values)) <= 1e-8
 
@@ -516,7 +560,7 @@ def test_cm_lambda_cross_check(table):
             pk, k = p, 1
             while pk <= lim:
                 want = f.pp_value(p, 1, table) ** k * math.log(p)
-                assert abs(lam.values[pk] - want) <= 1e-9
+                assert abs(lambda_values(lam)[pk] - want) <= 1e-9
                 pk *= p
                 k += 1
 

@@ -13,14 +13,12 @@ import pytest
 
 from bvlab import discrepancy
 from bvlab.cli import _jdump, _report_obj
-from bvlab.counterexample import counterexample_multfn, plan_counterexample, script_P_indicator
+from bvlab.counterexample import counterexample_multfn, plan_counterexample
 from bvlab.discrepancy import bv_sum, delta, residue_buckets
 from bvlab.funcspec import parse_function_spec
 from bvlab.multfun import (
     ArithFn,
     MultFn,
-    delta_fn,
-    evaluate,
     liouville,
     log_twist,
     moebius,
@@ -29,7 +27,7 @@ from bvlab.multfun import (
     smooth_truncation,
     to_arith,
 )
-from oracles import complex_to_arith, trial_division
+from oracles import complex_to_arith, delta_fn, evaluate, script_P_indicator, trial_division
 
 LIM = 10**5
 REAL_CM = {"kind": "cm", "primes": {"2": [-0.5, 0], "3": [0.0, -0.0], "7": [1, -0.0]},

@@ -23,7 +23,6 @@ from bvlab.multfun import (
     moebius,
     one,
     powerful,
-    prime_powers,
     smooth_truncation,
     to_arith,
 )
@@ -46,7 +45,7 @@ def _disc(rng, n):
 
 def _complex_table(path, table):
     rng = np.random.default_rng(13)
-    pks = prime_powers(TOP, table)[0]
+    pks = table.prime_powers(TOP)[0]
     vals = _disc(rng, len(pks))
     vals.real[rng.integers(0, len(pks), 200)] = -0.0
     vals.imag[rng.integers(0, len(pks), 200)] = -0.0
@@ -102,7 +101,7 @@ def test_block_sieve_matches_spf_sweep_bytes(table, tmp_path, kind):
 )
 def test_block_sieve_property(table, seed, limit, kind):
     rng = np.random.default_rng(seed)
-    pks = prime_powers(limit, table)[0]
+    pks = table.prime_powers(limit)[0]
     vals = rng.uniform(-1, 1, len(pks)) + 0j
     if kind == "complex":
         vals = _disc(rng, len(pks))
