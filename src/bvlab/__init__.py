@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .core_arith import (  # noqa: F401
-    FactoredInteger,
     PrimeTable,
     build_prime_table,
     euler_phi,

@@ -4,8 +4,8 @@ Everything downstream (characters, multiplicative functions, discrepancy
 sums) factors integers through a PrimeTable built here: a flat
 smallest-prime-factor array, chosen because factorization is the dominant
 operation at desk scale (limits up to ~1e8 are assumed to fit in memory). It
-is sieved in L2-sized segments, and a sieve cache is read back one segment
-at a time, each checked against the same segment sieve.
+is sieved in L2-sized segments, which also yield its primes; a sieve cache
+is read back one segment at a time, each checked against the same sieve.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -27,19 +26,15 @@ _CACHE_MAGIC = b"BVLAB1"
 class PrimeTable:
     """Smallest-prime-factor table covering 2..limit.
 
-    spf[n] is the smallest prime factor of n; spf[n] == n iff n is prime.
-    Entries 0 and 1 are padding. Immutable after construction, so it is
-    safe to share across worker threads. It keeps the prime-power
+    spf[n] is the smallest prime factor of n (entries 0 and 1 are padding), and
+    primes the primes up to limit, ascending int64. Immutable after construction,
+    so it is safe to share across worker threads. It keeps the prime-power
     enumeration that prime_powers last made and cuts smaller reads from it.
     """
 
     limit: int
     spf: np.ndarray
-
-    @cached_property
-    def primes(self) -> np.ndarray:
-        idx = np.arange(self.limit + 1, dtype=self.spf.dtype)
-        return np.flatnonzero(self.spf == idx)[2:]  # drop the n=0,1 artifacts
+    primes: np.ndarray
 
     def prime_powers(self, limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(p^k, p, k) for every p^k <= limit, ascending in p^k: read-only views.
@@ -75,14 +70,6 @@ class PrimeTable:
             raise OutOfRangeError(f"n={n} exceeds table limit {self.limit}")
 
 
-@dataclass(frozen=True)
-class FactoredInteger:
-    """n together with its canonical factorization (primes ascending)."""
-
-    n: int
-    factors: tuple[tuple[int, int], ...]
-
-
 # Entries of spf sieved at a time: 2^18 uint32 entries, 1 MB, half of a
 # 2 MB per-core L2, so a segment stays in cache while every prime up to
 # sqrt(limit) marks it (one pass over the whole table per prime is bound by
@@ -94,9 +81,10 @@ def build_prime_table(limit: int) -> PrimeTable:
     """Sieve smallest prime factors for 2..limit, one _SIEVE_SEGMENT at a time."""
     primes = _sieving_primes(limit)
     spf = np.empty(limit + 1, dtype=np.uint32)
+    found = []
     for lo in range(0, limit + 1, _SIEVE_SEGMENT):
-        _sieve_segment(spf[lo : lo + _SIEVE_SEGMENT], lo, primes)
-    return PrimeTable(limit=limit, spf=spf)
+        found.append(_sieve_segment(spf[lo : lo + _SIEVE_SEGMENT], lo, primes))
+    return PrimeTable(limit, spf, np.concatenate(found))
 
 
 def _sieving_primes(limit: int) -> list[int]:
@@ -109,19 +97,23 @@ def _sieving_primes(limit: int) -> list[int]:
     return build_prime_table(root).primes[::-1].tolist() if root >= 2 else []
 
 
-def _sieve_segment(seg: np.ndarray, lo: int, primes: list[int]) -> None:
+def _sieve_segment(seg: np.ndarray, lo: int, primes: list[int]) -> np.ndarray:
     """spf of lo..lo + len(seg) - 1 into seg: n at n, then each p of `primes` (largest
-    first, so a composite's last mark is its smallest prime factor) from p*p on."""
+    first, so a composite's last mark is its smallest prime factor) from p*p on.
+    Returns the segment's primes: the n >= 2 it leaves at n."""
     hi = lo + len(seg)
-    seg[:] = np.arange(lo, hi, dtype=np.uint32)
+    idx = np.arange(lo, hi, dtype=np.uint32)
+    seg[:] = idx
     for p in primes:
         start = max(p * p, -(-lo // p) * p)
         if start < hi:
             seg[start - lo :: p] = p
+    kept = np.flatnonzero(seg == idx) + lo
+    return kept[2:] if lo == 0 else kept
 
 
-def factorize(n: int, table: PrimeTable) -> FactoredInteger:
-    """Canonical factorization of n via the spf table; factorize(1) is empty."""
+def factorize(n: int, table: PrimeTable) -> tuple[tuple[int, int], ...]:
+    """((p, e), ...) with n = prod p^e, p ascending, via the spf table; factorize(1) is ()."""
     table._check(n)
     spf = table.spf
     factors: list[tuple[int, int]] = []
@@ -133,13 +125,13 @@ def factorize(n: int, table: PrimeTable) -> FactoredInteger:
             m //= p
             e += 1
         factors.append((p, e))
-    return FactoredInteger(n=n, factors=tuple(factors))
+    return tuple(factors)
 
 
 def euler_phi(n: int, table: PrimeTable) -> int:
     """phi(n) = #{1 <= a <= n : gcd(a, n) = 1}, exact."""
     phi = 1
-    for p, e in factorize(n, table).factors:
+    for p, e in factorize(n, table):
         phi *= (p - 1) * p ** (e - 1)
     return phi
 
@@ -221,7 +213,7 @@ def _read_verified(fh, path, limit: int) -> PrimeTable:
     for lo in range(0, limit + 1, _SIEVE_SEGMENT):
         seg = spf[lo : lo + _SIEVE_SEGMENT]
         want = buf[: len(seg)]
-        _sieve_segment(want, lo, primes)
+        found.append(_sieve_segment(want, lo, primes))
         first = max(lo, 2)  # the payload starts at spf[2]
         got = fh.readinto(memoryview(spf[first : lo + len(seg)]).cast("B"))
         if got != 4 * (lo + len(seg) - first):
@@ -231,7 +223,4 @@ def _read_verified(fh, path, limit: int) -> PrimeTable:
             raise ParameterError(
                 f"{path}: spf[{n}] = {int(spf[n])} is not its smallest prime factor"
             )
-        found.append(np.flatnonzero(seg == np.arange(lo, lo + len(seg), dtype=np.uint32)) + lo)
-    table = PrimeTable(limit=limit, spf=spf)
-    table.__dict__["primes"] = np.concatenate(found)[2:]  # seeds the cached_property
-    return table
+    return PrimeTable(limit, spf, np.concatenate(found))

@@ -53,7 +53,7 @@ def primes_with_divisor_in(
     out = []
     for p in table.primes_in(y_lo, y_hi):
         p = int(p)
-        for r, _e in factorize(p - 1, table).factors:
+        for r, _e in factorize(p - 1, table):
             if q_lo < r <= q_hi:
                 out.append(p)
                 break

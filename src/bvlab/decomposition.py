@@ -45,7 +45,7 @@ def smooth_factor_split(n: int, V0: float, table: PrimeTable) -> SmoothSplit:
             f"n={n} <= V0={V0}: such n belong to the short initial sum, not the split"
         )
     primes_desc: list[int] = []
-    for p, e in reversed(factorize(n, table).factors):
+    for p, e in reversed(factorize(n, table)):
         primes_desc.extend([p] * e)
     v = 1
     taken = 0

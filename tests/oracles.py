@@ -374,7 +374,7 @@ PRIME_INF = 2**62
 
 def von_mangoldt(n: int, table: PrimeTable) -> float:
     """log p if n = p^k, else 0."""
-    fs = factorize(n, table).factors
+    fs = factorize(n, table)
     if len(fs) == 1:
         return math.log(fs[0][0])
     return 0.0
@@ -386,7 +386,7 @@ def smoothness(n: int, table: PrimeTable) -> tuple[int, int]:
     n = 1 returns (1, PRIME_INF) by convention, so "n is y-smooth" is
     exactly P_plus <= y for every n >= 1.
     """
-    fs = factorize(n, table).factors
+    fs = factorize(n, table)
     if not fs:
         return (1, PRIME_INF)
     return (fs[-1][0], fs[0][0])

@@ -359,9 +359,10 @@ def test_bad_inputs_exit_without_traceback(tmp_path, capsys, monkeypatch, argv, 
     np.savez("v2d.npz", prime_powers=np.array([2, 3]), values=np.array([[0.5], [0.5]]))
     np.savez("flt.npz", prime_powers=np.array([2.0, 3.0]), values=np.array([0.5, 0.5]))
     np.savez("dup.npz", prime_powers=np.array([2, 2, 3]), values=np.array([1, -1, 0.5]))
-    spf = build_prime_table(100).spf.copy()
+    built = build_prime_table(100)
+    spf = built.spf.copy()
     spf[15] = 15
-    save_prime_table(PrimeTable(limit=100, spf=spf), "spf15.bin")
+    save_prime_table(PrimeTable(limit=100, spf=spf, primes=built.primes), "spf15.bin")
     (tmp_path / "nan_cm.json").write_text(
         json.dumps({"f": {"kind": "cm", "default": [float("nan"), 0]}})
     )

@@ -50,9 +50,9 @@ def test_build_rejects_tiny_limit():
 
 
 def test_factorize_examples(table_1e4):
-    assert factorize(60, table_1e4).factors == ((2, 2), (3, 1), (5, 1))
-    assert factorize(1, table_1e4).factors == ()
-    assert factorize(97, table_1e4).factors == ((97, 1),)
+    assert factorize(60, table_1e4) == ((2, 2), (3, 1), (5, 1))
+    assert factorize(1, table_1e4) == ()
+    assert factorize(97, table_1e4) == ((97, 1),)
 
 
 def test_factorize_range_errors(table_1e4):
@@ -85,7 +85,7 @@ def test_factorization_reconstructs_everything():
     t = build_prime_table(limit)
     for n in range(1, limit + 1):
         prod = 1
-        for p, e in factorize(n, t).factors:
+        for p, e in factorize(n, t):
             prod *= p**e
         assert prod == n
 
@@ -96,7 +96,7 @@ def test_spf_agrees_with_trial_division():
     rng = random.Random(11)
     sample = list(range(1, 2000)) + [rng.randrange(1, limit + 1) for _ in range(2000)]
     for n in sample:
-        assert list(factorize(n, t).factors) == trial_division(n)
+        assert list(factorize(n, t)) == trial_division(n)
 
 
 def test_spf_entries_are_prime_divisors(table_1e4):
@@ -208,16 +208,17 @@ def _saved(tmp_path, limit, wrong=()):
     return path
 
 
-# the loader reads and checks the payload 2^18 entries at a time
+# the build sieves, and the loader reads and checks the payload, 2^18 entries
+# at a time; both keep the primes each segment leaves
 @pytest.mark.parametrize("limit", [2, 3, 2**18 - 1, 2**18, 2**18 + 1, 3 * 2**18 + 5])
 def test_streamed_load_matches_plain_sieve(tmp_path, limit):
-    loaded = load_prime_table(_saved(tmp_path, limit))
     want = plain_spf(limit)
-    assert loaded.limit == limit
-    assert np.array_equal(loaded.spf, want) and loaded.spf.dtype == np.uint32
     primes = np.flatnonzero(want == np.arange(limit + 1))[2:]
-    assert loaded.primes.dtype == primes.dtype == np.int64
-    assert np.array_equal(loaded.primes, primes)
+    for table in build_prime_table(limit), load_prime_table(_saved(tmp_path, limit)):
+        assert table.limit == limit
+        assert np.array_equal(table.spf, want) and table.spf.dtype == np.uint32
+        assert table.primes.dtype == primes.dtype == np.int64
+        assert np.array_equal(table.primes, primes)
 
 
 @pytest.mark.parametrize("n", [2, 2**18 - 1, 2**18, 2**18 + 1, 3 * 2**18 + 5])
@@ -262,4 +263,16 @@ def test_streamed_load_holds_the_table_and_one_segment(tmp_path):
         tracemalloc.stop()
     # the table, its primes while they are joined, and a few 1 MB segment
     # buffers; a blob of the payload or a second table would add 8 MB
+    assert peak < t.spf.nbytes + 2 * t.primes.nbytes + 3 * 4 * 2**18
+
+
+def test_build_holds_the_table_and_one_segment():
+    tracemalloc.start()
+    try:
+        t = build_prime_table(2 * 10**6)
+        t.primes
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # as the loader: no arange or mask over the whole table to find the primes
     assert peak < t.spf.nbytes + 2 * t.primes.nbytes + 3 * 4 * 2**18

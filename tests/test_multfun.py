@@ -389,7 +389,7 @@ def test_prefix_reads_count_the_prime_powers(table_1e6, monkeypatch):
         table_1e6.prime_powers(10**6 + 1)
     # the table reads without a lock: threads that race over one table may each
     # enumerate, and every read still gets its own limit's bytes
-    table = PrimeTable(limit=table_1e6.limit, spf=table_1e6.spf)
+    table = PrimeTable(limit=table_1e6.limit, spf=table_1e6.spf, primes=table_1e6.primes)
     limits = [10**3, 10**5, 10**4, 10**5 + 3] * 4
     want = {m: [a.tobytes() for a in table_1e6.prime_powers(m)] for m in limits}
     switch = sys.getswitchinterval()
@@ -403,7 +403,7 @@ def test_prefix_reads_count_the_prime_powers(table_1e6, monkeypatch):
     assert got == [want[m] for m in limits]
     # a table enumerates at the limit it is read at, never above it: one
     # enumeration serves every smaller read, and a larger one enumerates again
-    table = PrimeTable(limit=table_1e6.limit, spf=table_1e6.spf)
+    table = PrimeTable(limit=table_1e6.limit, spf=table_1e6.spf, primes=table_1e6.primes)
     enumerate_pp = core_arith.prime_powers
     calls = []
 
