@@ -7,7 +7,18 @@ nothing, 2^2 is generated by -1). A character is the tuple of its exponents
 on those generators, so values are exact roots of unity: chi(n) =
 exp(2*pi*i*t/L) with t an integer accumulated from per-factor discrete logs
 and L the group exponent. Complex doubles appear only at evaluation, read
-from a table of L-th roots built once per modulus.
+from a table of L-th roots built once per exponent L (_roots).
+
+Induced characters: the character mod q induced by a primitive psi mod r
+(r | q) is psi(n mod r) on the units mod q and 0 elsewhere. (Z/rZ)* is a
+quotient of (Z/qZ)*, so the exponent L_r divides L_q, and at a unit n the
+turn index of the induced character is t_psi(n mod r) * (L_q / L_r) mod
+L_q, with t_psi psi's cached turn table mod r. induced_values reads that
+index from _roots(L_q), taking L_q from the factorization of q, so it
+builds no unit group mod q. The induced character that induce() builds
+from the unit group mod q has the same root of unity at n, hence the same
+index below L_q, and its residue_values read the same table: the two
+vectors are the same bytes.
 
 Canonical order of the phi(q) characters mod q is lexicographic on exponent
 tuples, so the principal character is first and labels are reproducible.
@@ -53,6 +64,34 @@ def _least_primitive_root(p: int, e: int) -> int:
     return g
 
 
+def _exponent(q: int) -> int:
+    """The exponent of (Z/qZ)*, the lcm of its cyclic factors' orders, from q's factorization."""
+    return math.lcm(*(2 ** max(e - 2, 1) if p == 2 else (p - 1) * p ** (e - 1)
+                      for p, e in _factor_small(q) if p**e != 2))
+
+
+def _unit_mask(q: int) -> np.ndarray:
+    """True at the residues 0..q-1 coprime to q (at 0 too when q = 1)."""
+    unit = np.ones(q, dtype=bool)
+    for p, _e in _factor_small(q):
+        unit[::p] = False
+    return unit
+
+
+@lru_cache(maxsize=None)
+def _roots(L: int) -> np.ndarray:
+    """exp(2*pi*i*k/L) for k = 0..L-1: the values of every character whose group has exponent L."""
+    ks = np.arange(L)
+    roots = np.exp(2j * np.pi * ks / L)
+    # Snap quarter turns to exact 1, i, -1, -i so that real characters
+    # evaluate exactly real (np.exp leaves ~1e-16 residue at pi).
+    quarter, rem = np.divmod(4 * ks, L)
+    snap = rem == 0
+    roots[snap] = np.array([1, 1j, -1, -1j])[quarter[snap] % 4]
+    roots.setflags(write=False)
+    return roots
+
+
 @dataclass(frozen=True)
 class CyclicFactor:
     """One cyclic factor of (Z/qZ)*: generator and its discrete-log table."""
@@ -65,7 +104,7 @@ class CyclicFactor:
 
 
 class UnitGroup:
-    """Factored unit group mod q with generator lifts and a root table."""
+    """Factored unit group mod q with its exponent and generator lifts."""
 
     def __init__(self, q: int):
         if q < 1:
@@ -104,16 +143,7 @@ class UnitGroup:
                     x = x * g % pe
                 factors.append(CyclicFactor(p, pe, g, order, dlog))
         self.factors = tuple(factors)
-        self.exponent = math.lcm(*(f.order for f in factors)) if factors else 1
-        ks = np.arange(self.exponent)
-        roots = np.exp(2j * np.pi * ks / self.exponent)
-        # Snap quarter turns to exact 1, i, -1, -i so that real characters
-        # evaluate exactly real (np.exp leaves ~1e-16 residue at pi).
-        quarter, rem = np.divmod(4 * ks, self.exponent)
-        snap = rem == 0
-        roots[snap] = np.array([1, 1j, -1, -1j])[quarter[snap] % 4]
-        roots.setflags(write=False)
-        self.roots = roots
+        self.exponent = _exponent(q)
         # CRT lift of each factor's generator: congruent to the generator in
         # its own component and to 1 in every other component.
         lifts = []
@@ -204,13 +234,10 @@ class DirichletCharacter:
             t += a * j * (L // f.order)
         return (t % L, L)
 
-    def value(self, n: int) -> complex:
-        """chi(n), read from residue_values."""
-        return complex(self.residue_values()[n % self.modulus])
-
     def residue_values(self) -> np.ndarray:
         """chi on residues 0..q-1 as a complex vector (0 on non-units)."""
-        return _residue_values_cached(self.modulus, self.exponents)
+        t = _turns(self.modulus, self.exponents)
+        return np.where(t >= 0, _roots(self.group.exponent)[t], 0j)
 
     def serialize(self) -> str:
         return f"chi:q={self.modulus},label={self.label}"
@@ -237,20 +264,17 @@ def _char_from_exponents(q: int, exponents: tuple[int, ...]) -> DirichletCharact
 
 
 @lru_cache(maxsize=4096)
-def _residue_values_cached(q: int, exponents: tuple[int, ...]) -> np.ndarray:
+def _turns(q: int, exponents: tuple[int, ...]) -> np.ndarray:
+    """chi's turns on 0..q-1: chi(n) = exp(2*pi*i*t[n]/L), L the exponent mod q; -1 off the units."""
     g = unit_group(q)
     L = g.exponent
-    res = np.arange(q if q > 1 else 1)
-    t = np.zeros(len(res), dtype=np.int64)
-    unit = np.ones(len(res), dtype=bool)
+    res = np.arange(q)
+    t = np.zeros(q, dtype=np.int64)
     for a, f in zip(exponents, g.factors):
-        j = f.dlog[res % f.prime_power]
-        unit &= j >= 0
-        t += a * np.where(j >= 0, j, 0) * (L // f.order)
-    unit &= np.gcd(res, q) == 1 if q > 1 else True
-    vals = np.where(unit, g.roots[t % L], 0j)
-    vals.setflags(write=False)
-    return vals
+        t += a * np.maximum(f.dlog[res % f.prime_power], 0) * (L // f.order)
+    t = np.where(_unit_mask(q), t % L, -1)
+    t.setflags(write=False)
+    return t
 
 
 def enumerate_characters(q: int, table=None) -> list[DirichletCharacter]:
@@ -322,6 +346,27 @@ def induced_set(xi: CharacterSet, q: int) -> list[DirichletCharacter]:
     if q < 1:
         raise ParameterError(f"modulus must be >= 1, got {q}")
     return [induce(psi, q) for psi in xi if q % psi.modulus == 0]
+
+
+def induced_values(xi: CharacterSet, q: int) -> list[np.ndarray]:
+    """The residue vectors of Xi_q, in the order of induced_set(xi, q), with no unit group mod q.
+
+    The character mod q induced by psi mod r is psi(n mod r) on the units
+    mod q and 0 elsewhere; its turn index mod L_q is psi's mod L_r, scaled
+    by L_q / L_r. See the module docstring.
+    """
+    if q < 1:
+        raise ParameterError(f"modulus must be >= 1, got {q}")
+    L = _exponent(q)
+    unit = _unit_mask(q)
+    res = np.arange(q)
+    out = []
+    for psi in xi:
+        r = psi.modulus
+        if q % r == 0:
+            t = _turns(r, psi.exponents)[res % r] * (L // _exponent(r)) % L
+            out.append(np.where(unit, _roots(L)[t], 0j))
+    return out
 
 
 def primitive_characters(q: int) -> list[DirichletCharacter]:

@@ -17,7 +17,10 @@ the complex reduction does. The q-long bucket vector is widened to
 complex128 before anything reads it, so the character sums and the
 division by phi(q) stay complex. At q = 1 the reduction is one pairwise
 sum, whose blocks differ between float64 and complex128, so it runs in
-complex128.
+complex128. The Xi correction reads the characters of Xi_q from
+induced_values, each the same bytes as the residue values of the
+character induce() builds mod q, so no unit group is built per modulus;
+each is read as a vector, chi(a) as its entry a mod q.
 
 A block of moduli shares one sweep over the values in _SLICE_BYTES slices,
 each copied once into a work buffer. Every q >= 2 of the block reduces the
@@ -72,7 +75,8 @@ from .characters import (
     CharacterSet,
     DirichletCharacter,
     _factor_small,
-    induced_set,
+    _unit_mask,
+    induced_values,
 )
 from .errors import InvariantViolationError, OutOfRangeError, ParameterError
 from .multfun import ArithFn
@@ -208,10 +212,7 @@ def chunked_map(fn, items: Sequence, size: int, threads: int) -> list:
 
 
 def _coprime_residues(q: int) -> np.ndarray:
-    coprime = np.ones(q, dtype=bool)
-    for p, _e in _factor_small(q):
-        coprime[::p] = False
-    return np.flatnonzero(coprime)
+    return np.flatnonzero(_unit_mask(q))
 
 
 def _check_args(f: ArithFn, x: float, q: int, a: int) -> int:
@@ -292,10 +293,9 @@ def delta_xi(f: ArithFn, x: float, q: int, a: int, xi: CharacterSet) -> Discrepa
     # Scalar arithmetic sticks to Python complex: numpy's complex division
     # rounds differently, and the Xi = {1} path must match delta() bitwise.
     corr = 0j
-    for chi in induced_set(xi, q):
-        cv = chi.residue_values()
+    for cv in induced_values(xi, q):
         s_chi = complex(np.sum(np.conj(cv[rs]) * b[rs]))
-        corr += complex(chi.value(a)) * s_chi
+        corr += complex(cv[a % q]) * s_chi
     corr /= len(rs)
     return DiscrepancyReport(
         f_id=f.label,
@@ -333,17 +333,16 @@ def _bv_rows_for(
             b = bM if q == M else bM.reshape(M // q, q).sum(axis=0)
             rs = _coprime_residues(q)
             phi = len(rs)
+            br = b[rs]
             if xi is None:
-                corr = np.full(phi, np.sum(b[rs]))
-                corr /= phi
+                corr = np.full(phi, np.sum(br))
             else:
                 corr = np.zeros(phi, dtype=np.complex128)
-                for chi in induced_set(xi, q):
-                    cv = chi.residue_values()
-                    s_chi = np.sum(np.conj(cv[rs]) * b[rs])
-                    corr += cv[rs] * s_chi
-                corr /= phi
-            dist = np.abs(b[rs] - corr)
+                for cv in induced_values(xi, q):
+                    cr = cv[rs]
+                    corr += cr * np.sum(np.conj(cr) * br)
+            corr /= phi
+            dist = np.abs(br - corr)
             idx = int(np.argmax(dist))  # first maximum: smallest residue wins ties
             rows.append((q, int(rs[idx]), float(dist[idx])))
     return rows
@@ -412,9 +411,8 @@ def _kernel_residues(q: int, a: int, xi: CharacterSet) -> np.ndarray:
     phi = len(rs)
     ker = np.zeros(q if q > 1 else 1, dtype=np.complex128)
     ker[a % q] = 1
-    for chi in induced_set(xi, q):
-        cv = chi.residue_values()
-        ker -= chi.value(a) * np.conj(cv) / phi
+    for cv in induced_values(xi, q):
+        ker -= cv[a % q] * np.conj(cv) / phi
     return ker
 
 

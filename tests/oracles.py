@@ -15,6 +15,7 @@ from bvlab.characters import (
     _char_from_exponents,
     _exponent_from_value,
     enumerate_characters,
+    induced_set,
     primitive_value_matrix,
     unit_group,
 )
@@ -98,6 +99,27 @@ def copied_residue_buckets(values, m, q):
     buf = np.zeros(rows * q, dtype=np.complex128)
     buf[: m + 1] = values[: m + 1]
     return buf.reshape(rows, q).sum(axis=0)
+
+
+def induced_bv_rows(f, x, Q, xi):
+    """bv_sum's rows (q, argmax residue, |delta|) for q = 1..Q, with the
+    characters of Xi_q built by induce() at every modulus q, as bv_sum once
+    built them, and the buckets from copied_residue_buckets."""
+    m = int(math.floor(x))
+    rows = []
+    for q in range(1, Q + 1):
+        b = copied_residue_buckets(f.values, m, q)
+        rs = np.array([r for r in range(q) if math.gcd(r, q) == 1])
+        corr = np.zeros(len(rs), dtype=np.complex128)
+        for chi in induced_set(xi, q):
+            cv = chi.residue_values()
+            s_chi = np.sum(np.conj(cv[rs]) * b[rs])
+            corr += cv[rs] * s_chi
+        corr /= len(rs)
+        dist = np.abs(b[rs] - corr)
+        idx = int(np.argmax(dist))
+        rows.append((q, int(rs[idx]), float(dist[idx])))
+    return rows
 
 
 def complex_to_arith(f, limit, table):
@@ -290,7 +312,7 @@ def powerful_rule(p, k):
 
 
 def character_rule(chi):
-    return lambda p, k: chi.value(p) ** k
+    return lambda p, k: value(chi, p) ** k
 
 
 def cm_spec_rule(at, default):
@@ -390,6 +412,11 @@ def smoothness(n: int, table: PrimeTable) -> tuple[int, int]:
     if not fs:
         return (1, PRIME_INF)
     return (fs[-1][0], fs[0][0])
+
+
+def value(chi: DirichletCharacter, n: int) -> complex:
+    """chi(n), read from chi's residue values."""
+    return complex(chi.residue_values()[n % chi.modulus])
 
 
 def primitivize(chi: DirichletCharacter) -> DirichletCharacter:

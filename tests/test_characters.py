@@ -1,18 +1,29 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from bvlab import ParameterError
 from bvlab.characters import (
     CharacterSet,
+    _exponent,
     enumerate_characters,
     induce,
     induced_set,
+    induced_values,
     primitive_characters,
     trivial_set,
+    unit_group,
 )
-from oracles import full_primitive_set, is_principal, phi_naive, primitivize, trial_division
+from oracles import (
+    full_primitive_set,
+    is_principal,
+    phi_naive,
+    primitivize,
+    trial_division,
+    value,
+)
 
 
 def moebius_naive(n):
@@ -26,7 +37,7 @@ def test_modulus_one_is_identically_one():
     chars = enumerate_characters(1)
     assert len(chars) == 1
     chi = chars[0]
-    assert all(chi.value(n) == 1 for n in range(1, 50))
+    assert all(value(chi, n) == 1 for n in range(1, 50))
     assert chi.conductor == 1 and chi.is_primitive
 
 
@@ -34,8 +45,8 @@ def test_mod5_order_four_character():
     chars = enumerate_characters(5)
     assert len(chars) == 4
     chi = chars[1]
-    assert chi.value(2) == pytest.approx(1j, abs=1e-12)
-    assert chi.value(3) == pytest.approx(-1j, abs=1e-12)
+    assert value(chi, 2) == pytest.approx(1j, abs=1e-12)
+    assert value(chi, 3) == pytest.approx(-1j, abs=1e-12)
 
 
 def test_mod8_characters_all_real():
@@ -43,7 +54,7 @@ def test_mod8_characters_all_real():
     assert len(chars) == 4
     for chi in chars:
         for n in range(16):
-            assert abs(chi.value(n).imag) == 0.0
+            assert abs(value(chi, n).imag) == 0.0
 
 
 def test_enumeration_count_and_principal_first(table_1e4):
@@ -61,18 +72,18 @@ def test_rejects_modulus_zero():
 
 def test_char_value_examples():
     principal3 = enumerate_characters(3)[0]
-    assert principal3.value(6) == 0
+    assert value(principal3, 6) == 0
     nonprincipal3 = enumerate_characters(3)[1]
-    assert nonprincipal3.value(2) == pytest.approx(-1, abs=1e-12)
+    assert value(nonprincipal3, 2) == pytest.approx(-1, abs=1e-12)
     for chi in enumerate_characters(12):
-        assert chi.value(1) == pytest.approx(1, abs=0)
+        assert value(chi, 1) == pytest.approx(1, abs=0)
 
 
 def test_values_have_unit_modulus():
     for q in (7, 9, 16, 24, 45):
         for chi in enumerate_characters(q):
             for n in range(2 * q):
-                v = abs(chi.value(n))
+                v = abs(value(chi, n))
                 assert v == 0 or abs(v - 1) < 1e-12
 
 
@@ -83,7 +94,7 @@ def test_orthogonality():
         units = [a for a in range(max(q, 1)) if math.gcd(a, q) == 1] or [0]
         for a in units:
             for b in units:
-                s = sum(chi.value(a) * chi.value(b).conjugate() for chi in chars)
+                s = sum(value(chi, a) * value(chi, b).conjugate() for chi in chars)
                 expect = phi if (a - b) % q == 0 else 0
                 assert abs(s - expect) <= 1e-9
 
@@ -95,7 +106,7 @@ def test_multiplicativity_random():
             for _ in range(5):
                 m = rng.randrange(1, 300)
                 n = rng.randrange(1, 300)
-                assert abs(chi.value(m * n) - chi.value(m) * chi.value(n)) <= 1e-12
+                assert abs(value(chi, m * n) - value(chi, m) * value(chi, n)) <= 1e-12
 
 
 def test_conductor_examples():
@@ -120,7 +131,7 @@ def test_conductor_is_smallest_inducing_period():
                 for m in range(q):
                     for n in range(q):
                         if math.gcd(m, q) == 1 and math.gcd(n, q) == 1 and (m - n) % d == 0:
-                            if abs(chi.value(m) - chi.value(n)) > 1e-9:
+                            if abs(value(chi, m) - value(chi, n)) > 1e-9:
                                 ok = False
                                 break
                     if not ok:
@@ -142,9 +153,9 @@ def test_induce_examples():
     chi9 = induce(chi3, 9)
     for n in range(1, 19):
         if n % 3 == 0:
-            assert chi9.value(n) == 0
+            assert value(chi9, n) == 0
         else:
-            assert abs(chi9.value(n) - chi3.value(n)) <= 1e-12
+            assert abs(value(chi9, n) - value(chi3, n)) <= 1e-12
 
 
 def test_induce_requires_divisibility():
@@ -163,7 +174,7 @@ def test_induction_consistency_random():
             for _ in range(20):
                 n = rng.randrange(1, 500)
                 if math.gcd(n, q) == 1:
-                    assert abs(chi.value(n) - psi.value(n)) <= 1e-12
+                    assert abs(value(chi, n) - value(psi, n)) <= 1e-12
 
 
 def test_conductor_idempotence():
@@ -174,7 +185,7 @@ def test_conductor_idempotence():
             back = induce(psi, q)
             assert back.exponents == chi.exponents
             for n in range(q):
-                assert chi.value(n) == back.value(n)
+                assert value(chi, n) == value(back, n)
 
 
 def test_primitive_count_formula():
@@ -215,12 +226,47 @@ def test_full_primitive_set_reconstructs_group():
         assert labels == list(range(phi_naive(q)))
 
 
+def test_exponent_is_the_lcm_of_the_factor_orders():
+    for q in range(1, 1025):
+        assert _exponent(q) == math.lcm(*(f.order for f in unit_group(q).factors)), q
+
+
+def test_induced_values_are_the_bytes_of_induce():
+    # every primitive psi mod r <= 30, read mod every q <= 400 that r divides
+    orders = set()
+    for r in range(1, 31):
+        prims = primitive_characters(r)
+        if not prims:
+            continue
+        for psi in prims:
+            g = psi.group
+            orders.add(math.lcm(*(f.order // math.gcd(f.order, a)
+                                  for a, f in zip(psi.exponents, g.factors))))
+        xi = CharacterSet(members=tuple(prims))
+        for q in range(r, 401, r):
+            got = induced_values(xi, q)
+            want = [induce(psi, q).residue_values() for psi in prims]
+            assert all(v.dtype == np.complex128 and v.shape == (q,) for v in got), (r, q)
+            assert [v.tobytes() for v in got] == [v.tobytes() for v in want], (r, q)
+    # orders whose roots are not all snapped to 1, i, -1, -i
+    assert {6, 10, 12} <= orders
+
+
+def test_induced_values_follow_induced_set():
+    chi3 = enumerate_characters(3)[1]
+    xi = CharacterSet(members=(enumerate_characters(1)[0], chi3, enumerate_characters(4)[1]))
+    for q in (1, 5, 6, 12, 20):
+        assert len(induced_values(xi, q)) == len(induced_set(xi, q)), q
+    with pytest.raises(ParameterError):
+        induced_values(xi, 0)
+
+
 def test_residue_values_match_scalar():
     for q in (1, 2, 5, 8, 12, 45):
         for chi in enumerate_characters(q):
             vals = chi.residue_values()
             for r in range(max(q, 1)):
-                assert vals[r] == chi.value(r)
+                assert vals[r] == value(chi, r)
 
 
 def test_serialization_labels():

@@ -152,7 +152,6 @@ def test_lower_bound_rows_match_delta_over_several_slices(table_1e5):
 
 def test_lower_bound_report_builds_no_dense_indicator(table_1e6):
     spec = spec_for(10**6, 2.0, table_1e6)
-    table_1e6.primes  # the table's own lazy primes are not the report's
     tracemalloc.start()
     try:
         lower_bound_report(spec, table_1e6)

@@ -297,7 +297,6 @@ def test_truncation_difference_overlap_guard(table):
 
 def test_truncation_check_holds_one_convolution_at_a_time(table_1e6):
     x = 10**6
-    table_1e6.primes  # built once, outside the trace
     f, g = character_fn(enumerate_characters(5)[1], x), moebius(x)
     tracemalloc.start()
     try:

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from bvlab import ParameterError, discrepancy
 from bvlab.characters import (
     CharacterSet,
+    _turns,
     enumerate_characters,
     trivial_set,
+    unit_group,
 )
 from bvlab.discrepancy import (
     bv_sum,
@@ -41,6 +43,7 @@ from oracles import (
     copied_residue_buckets,
     divisors,
     full_primitive_set,
+    induced_bv_rows,
     phi_naive,
 )
 
@@ -592,6 +595,27 @@ def test_bv_sum_rows_identical_across_threads(kind, xi):
     f = random_table(kind, 3000)
     reps = [repr(bv_sum(f, 3000, 300, xi, threads=t)) for t in (1, 2, 3)]
     assert reps[0] == reps[1] == reps[2]
+
+
+# members of order 6 and 10, whose values are not all snapped to 1, i, -1, -i
+COMPLEX_XI = CharacterSet(members=(enumerate_characters(7)[1], enumerate_characters(11)[3]))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_bv_sum_xi_rows_match_the_induce_oracle(threads):
+    f = random_table("complex", 20000)
+    rep = bv_sum(f, 20000, 200, COMPLEX_XI, threads=threads)
+    assert repr(rep.per_q) == repr(induced_bv_rows(f, 20000, 200, COMPLEX_XI))
+
+
+@pytest.mark.parametrize("kind", ["complex", "moebius"])
+def test_bv_sum_xi_builds_no_unit_group_per_modulus(kind):
+    f = random_table(kind, 5000)
+    for threads in (1, 2):
+        _turns.cache_clear()
+        unit_group.cache_clear()
+        bv_sum(f, 5000, 500, COMPLEX_XI, threads=threads)
+        assert unit_group.cache_info().currsize <= len({psi.modulus for psi in COMPLEX_XI})
 
 
 # large_sieve_check sums over residue classes where the oracle multiplies
