@@ -54,6 +54,7 @@ from .funcspec import parse_function_spec, save_pp_table
 from .multfun import (
     ArithFn,
     MultFn,
+    Support,
     companion_split,
     dirichlet_convolve,
     inverse,
@@ -482,12 +483,15 @@ def _cmd_companion_check(args):
     # g's values, like fstar's below, go after their last reader; the p^k are the table's
     del g, gpp
     off = to_arith(powerful(limit), limit, table).values == 0
-    off_powerful = float(np.max(np.abs(gd.values[off]), initial=0.0))
+    off_powerful = float(np.max(np.abs(gd.values), where=off, initial=0.0))
     del off
+    # g lives on the powerful numbers: the convolution reads its support alone
+    gs = Support.of(gd)
+    del gd
     fstar_d = to_arith(fstar, limit, table)
     del fstar
-    conv = dirichlet_convolve(gd, fstar_d, limit).values
-    del gd, fstar_d
+    conv = dirichlet_convolve(gs, fstar_d, limit).values
+    del gs, fstar_d
     fd = to_arith(f, limit, table).values
     conv = conv.astype(np.result_type(conv, fd), copy=False)
     conv -= fd

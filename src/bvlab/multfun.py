@@ -50,7 +50,7 @@ from .core_arith import PrimeTable
 from .errors import ClassViolationError, OutOfRangeError, ParameterError
 
 _TOL = 1e-12  # slack on the unit-disc check for prime-power values
-_CHUNK = 1 << 16  # longest run of products _divisor_sweep forms at once, in values
+_CHUNK = 1 << 16  # longest run of values to_arith and _divisor_sweep form at once
 _PRIMES = 1 << 12  # primes per chunk of _levels
 
 
@@ -267,9 +267,16 @@ def to_arith(f: MultFn, limit: int, table: PrimeTable) -> ArithFn:
     on one float64 array. Its values are the complex sweep's real parts up
     to the sign of zeros: a*c where the complex product forms a*c - b*d,
     b*d = +-0 (73,438 of Moebius's zeros at 10^7; none of Liouville's).
+
+    Past the block index, the quotients, the two gathers and the products
+    are formed _CHUNK values at a time in work buffers made once per call,
+    so the call holds its output, one block index and a few chunks. The
+    gathers are np.take with mode="clip": the indices are in range by
+    construction, and the default mode buffers its output.
     """
     pks, ps, ks, pv = _prefix(f, limit, table)
     real = not pv.imag.any()
+    pv = np.ascontiguousarray(pv.real) if real else pv  # np.take copies a strided source
     pkf = pks.astype(np.float64)
     # the sieve's prime powers: p <= sqrt(limit), p descending, k ascending
     small = np.flatnonzero(ps <= math.isqrt(limit))
@@ -278,6 +285,11 @@ def to_arith(f: MultFn, limit: int, table: PrimeTable) -> ArithFn:
     vals = np.zeros(limit + 1, dtype=np.float64 if real else np.complex128)
     vals[1:2] = 1.0
     seg = np.empty(min(limit, _BLOCK), dtype=np.intp)
+    w = min(limit, _CHUNK)
+    ramp = np.arange(w, dtype=np.float64)
+    num, den = np.empty(w), np.empty(w)  # n and p^e, then the products' halves
+    rest = np.empty(w, dtype=np.intp)
+    v, c = np.empty(w, dtype=vals.dtype), np.empty(w, dtype=vals.dtype)
     lo = 2
     while lo <= limit:
         hi = min(2 * lo, lo + _BLOCK, limit + 1)
@@ -288,22 +300,39 @@ def to_arith(f: MultFn, limit: int, table: PrimeTable) -> ArithFn:
         for p, pk, j in sieve:
             if p <= top and pk < hi:
                 i[-lo % pk :: pk] = j
-        rest = (np.arange(lo, hi, dtype=np.float64) / pkf[i]).astype(np.intp)
-        if real:
-            np.multiply(vals[rest], pv.real[i], out=vals[lo:hi])
-        else:
-            # _cmul's products and sums, on the same operands in the same order
-            v, c = vals[rest], pv[i]
-            vals.real[lo:hi] = v.real * c.real - v.imag * c.imag
-            vals.imag[lo:hi] = v.real * c.imag + v.imag * c.real
+        for s in range(lo, hi, _CHUNK):
+            m = min(hi - s, _CHUNK)
+            j, out = i[s - lo : s - lo + m], vals[s : s + m]
+            x, y, r, vs, cs = num[:m], den[:m], rest[:m], v[:m], c[:m]
+            np.add(ramp[:m], s, out=x)  # n, exact in float64
+            np.take(pkf, j, out=y, mode="clip")
+            np.divide(x, y, out=x)
+            np.copyto(r, x, casting="unsafe")
+            np.take(vals, r, out=vs, mode="clip")
+            np.take(pv, j, out=cs, mode="clip")
+            if real:
+                np.multiply(vs, cs, out=out)
+            else:
+                # _cmul's products and sums, on the same operands in the same order
+                np.multiply(vs.real, cs.real, out=x)
+                np.multiply(vs.imag, cs.imag, out=y)
+                np.subtract(x, y, out=out.real)
+                np.multiply(vs.real, cs.imag, out=x)
+                np.multiply(vs.imag, cs.real, out=y)
+                np.add(x, y, out=out.imag)
         lo = hi
     return ArithFn(values=vals, limit=limit, label=f.label)
 
 
 
 
-def _divisor_sweep(fv: np.ndarray, gv: np.ndarray, cut: int, limit: int) -> np.ndarray:
-    """h(n) = sum of fv[d] * gv[e] over n = d*e <= limit with d, e <= cut.
+def _divisor_sweep(
+    fv: np.ndarray, gv: np.ndarray, cut: int, limit: int, ds: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """h(n) = sum of f(d) * gv[e] over n = d*e <= limit with d, e <= cut.
+
+    f(d) is fv[d], or, when ds is given, f's support: fv[i] = f(ds[i]) != 0
+    with ds ascending, and f is 0 off ds.
 
     Each h(n) adds its terms in ascending d, in about 2 sqrt(limit) slice
     updates split at T = min(isqrt(limit), cut). Pass 1 sweeps d <= T, one
@@ -314,17 +343,25 @@ def _divisor_sweep(fv: np.ndarray, gv: np.ndarray, cut: int, limit: int) -> np.n
     Zero f(d) in pass 1 and zero g(e) in pass 2 are skipped: h never holds
     -0.0, so adding a signed zero would leave it unchanged, and real
     operands sweep in float64 with the complex sweep's real parts as bits.
+    Over a support, pass 2 adds, per e, fv * g(e) at e*d for the d in ds
+    with T < d <= min(cut, limit/e): the dense slice's terms less its zero
+    products, which leave h unchanged on the same argument.
 
     A slice's products are formed _CHUNK at a time in one reused buffer, so
     the sweep holds h and one chunk; each h(n) still gets one product per
-    slice, the same one.
+    slice, the same one. A support's pass 2 holds temporaries of its size.
     """
     h = np.zeros(limit + 1, dtype=np.result_type(fv, gv))
     buf = np.empty(min(limit, _CHUNK), dtype=h.dtype)
     cut = max(cut, 0)
     t = min(math.isqrt(limit), cut)
-    for d in range(1, t + 1):
-        fd = fv[d]
+    if ds is None:
+        small = ((d, fv[d]) for d in range(1, t + 1))
+    else:
+        n = int(np.searchsorted(ds, t, side="right"))
+        small = zip(ds[:n].tolist(), fv[:n])
+        ds, fv = ds[n:], fv[n:]  # the support beyond T, for pass 2
+    for d, fd in small:
         if fd != 0:
             ln = min(cut, limit // d)
             for a in range(1, ln + 1, _CHUNK):
@@ -334,23 +371,48 @@ def _divisor_sweep(fv: np.ndarray, gv: np.ndarray, cut: int, limit: int) -> np.n
         ge = gv[e]
         if ge != 0:
             top = min(cut, limit // e)
+            if ds is not None:
+                k = np.searchsorted(ds, top, side="right")
+                h[e * ds[:k]] += np.multiply(fv[:k], ge)
+                continue
             for a in range(t + 1, top + 1, _CHUNK):
                 b = min(a + _CHUNK, top + 1)
                 h[e * a : e * (b - 1) + 1 : e] += np.multiply(fv[a:b], ge, out=buf[: b - a])
     return h
 
 
-def dirichlet_convolve(f: ArithFn, g: ArithFn, limit: int) -> ArithFn:
+@dataclass
+class Support:
+    """A function by its nonzero values: f(ds[i]) = values[i] != 0, ds ascending in 1..limit.
+
+    For an operand that is sparse by construction, such as the companion
+    split's g, which lives on the powerful numbers.
+    """
+
+    ds: np.ndarray
+    values: np.ndarray
+    limit: int
+    label: str = ""
+
+    @classmethod
+    def of(cls, f: ArithFn) -> Support:
+        ds = np.flatnonzero(f.values)
+        return cls(ds, f.values[ds], f.limit, f.label)
+
+
+def dirichlet_convolve(f: ArithFn | Support, g: ArithFn, limit: int) -> ArithFn:
     """h(n) = sum_{d|n} f(d) g(n/d) for all n <= limit.
 
     Each h(n) adds f(d) g(n/d) in ascending d, in two passes split at
-    T = isqrt(limit) (see _divisor_sweep).
+    T = isqrt(limit) (see _divisor_sweep). An f given by its Support gives
+    the same bytes as its dense values.
     """
     if f.limit < limit or g.limit < limit:
         raise ParameterError(
             f"operands defined to {f.limit} and {g.limit}; need {limit}"
         )
-    h = _divisor_sweep(f.values, g.values, limit, limit)
+    ds = f.ds if isinstance(f, Support) else None
+    h = _divisor_sweep(f.values, g.values, limit, limit, ds)
     return ArithFn(values=h, limit=limit, label=f"({f.label}*{g.label})")
 
 
@@ -475,6 +537,8 @@ def companion_split(f: MultFn, limit: int) -> tuple[MultFn, MultFn]:
     f_star is completely multiplicative with f_star(p) = f(p); the
     correction g has g(p) = 0 and g(p^k) = f(p^k) - f(p) f(p^{k-1}) for
     k >= 2, so it is supported on powerful numbers and |g(p^k)| <= 2.
+    There are about 2.2 sqrt(limit) of them, so a convolution reads g's
+    dense values as a Support.
     """
 
     def star(p, k, fv):

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 
@@ -262,11 +263,22 @@ def test_induced_values_follow_induced_set():
 
 
 def test_residue_values_match_scalar():
+    # value_exact reads chi(r) = exp(2 pi i t / L) off the unit group's
+    # discrete logs, not off the turn and root tables residue_values reads
     for q in (1, 2, 5, 8, 12, 45):
         for chi in enumerate_characters(q):
             vals = chi.residue_values()
-            for r in range(max(q, 1)):
-                assert vals[r] == value(chi, r)
+            assert vals.shape == (q,)
+            for r in range(q):
+                exact = chi.value_exact(r)
+                if exact is None:
+                    assert math.gcd(r, q) != 1 and vals[r] == 0
+                    continue
+                t, L = exact
+                if 4 * t % L == 0:
+                    assert vals[r] == (1, 1j, -1, -1j)[4 * t // L]
+                else:
+                    assert abs(vals[r] - cmath.exp(2j * math.pi * t / L)) <= 1e-15
 
 
 def test_serialization_labels():

@@ -6,13 +6,22 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from bvlab import ClassViolationError, OutOfRangeError, ParameterError, PrimeTable, core_arith
+from bvlab import (
+    ClassViolationError,
+    OutOfRangeError,
+    ParameterError,
+    PrimeTable,
+    cli,
+    core_arith,
+)
 from bvlab.characters import enumerate_characters
 from bvlab.funcspec import save_pp_table
 from bvlab.multfun import (
     _CHUNK,
     ArithFn,
     MultFn,
+    Support,
+    _divisor_sweep,
     _prefix,
     character_fn,
     class_c_check,
@@ -275,6 +284,8 @@ def test_convolutions_match_one_pass_sweep_bytes(table_1e5, kind, lim):
         assert kind != "real" or got.dtype == np.float64
 
     assert_sweep(dirichlet_convolve(f, g, lim).values, lim)
+    if kind == "powerful-first":
+        assert_sweep(dirichlet_convolve(Support.of(f), g, lim).values, lim)
     t = math.isqrt(lim)
     for cutoff in (-1, 0.5, 1, t - 1, t, t + 1, lim / 2, lim, 2 * lim):
         assert_sweep(truncated_convolution(f, g, cutoff, lim).values, min(math.floor(cutoff), lim))
@@ -313,6 +324,35 @@ def test_chunked_sweep_matches_one_pass_sweep_at_chunk_edges(kind):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), cut
 
 
+@pytest.mark.parametrize("kind", ["moebius", "liouville", "class-c"])
+def test_support_sweep_matches_dense_sweep_at_chunk_edges(table_1e6, kind):
+    # a sparse first operand, g_powerful of the companion split, against a
+    # second with signed zeros; the dense first operand's zeros are signed too
+    lim = 2 * _CHUNK + 5
+    rng = np.random.default_rng([20252, len(kind)])
+    make = {"moebius": moebius, "liouville": liouville}.get(kind)
+    f = make(lim) if make else seeded_family(29, 1, lim, kind="class-c")[0]
+    fstar, g = companion_split(f, lim)
+    a = to_arith(g, lim, table_1e6).values.copy()
+    b = to_arith(fstar, lim, table_1e6).values.copy()
+    for part in (a.real, a.imag) if a.dtype == np.complex128 else (a,):
+        zero = np.flatnonzero(part == 0)
+        part[rng.choice(zero, len(zero) // 2, replace=False)] = -0.0
+    for part in (b.real, b.imag) if b.dtype == np.complex128 else (b,):
+        part[rng.integers(1, lim + 1, 500)] = -0.0
+        part[rng.integers(1, lim + 1, 500)] = 0.0
+    s = Support.of(ArithFn(values=a, limit=lim))
+    assert len(s.ds) < lim // 50 and not (s.values == 0).any()
+    assert (a.dtype == np.complex128) == (kind == "class-c")
+    for cut in (lim, _CHUNK, _CHUNK + 1):
+        want = _divisor_sweep(a, b, cut, lim)
+        got = _divisor_sweep(s.values, b, cut, lim, s.ds)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), cut
+        oracle = one_pass_convolution(a, b, cut, lim)
+        oracle = oracle if want.dtype == np.complex128 else oracle.real
+        assert want.tobytes() == oracle.tobytes(), cut
+
+
 def _traced_peak(run):
     tracemalloc.start()
     try:
@@ -334,6 +374,25 @@ def test_convolution_holds_its_output_and_one_chunk(table_1e6, kind):
     # cast to complex (8192 values); a product formed over a whole slice
     # would add up to h's size again
     assert peak <= h.values.nbytes + _CHUNK * h.values.itemsize + 2**18
+
+
+def test_companion_check_holds_two_dense_arrays(table_1e6, tmp_path, monkeypatch):
+    lim = 10**6
+    rng = np.random.default_rng(20253)
+    pks = table_1e6.prime_powers(lim)[0]  # the table's enumeration, outside the trace
+    vals = np.sqrt(rng.random(len(pks))) * np.exp(2j * np.pi * rng.random(len(pks)))
+    np.savez(tmp_path / "f.npz", prime_powers=pks, values=vals)
+    monkeypatch.setattr(cli, "_get_table", lambda args, needed: table_1e6)
+    argv = ["companion-check", "--limit", str(lim), "--out", str(tmp_path / "c.json"),
+            "--f", f'{{"kind":"table","path":"{tmp_path / "f.npz"}"}}']
+    rc, peak = _traced_peak(lambda: cli.main(argv))
+    assert rc == 0
+    # two dense complex arrays (16 MB each) at a time, with one to_arith's
+    # work (under 9 MB) and the prime-power values of f, f* and g (1.3 MB
+    # each); a third dense array, g's beside f*'s and their convolution,
+    # would not fit
+    dense = 16 * (lim + 1)
+    assert peak < 2 * dense + 12 * 2**20
 
 
 @pytest.mark.parametrize(

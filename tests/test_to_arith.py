@@ -2,9 +2,12 @@
 
 oracles.spf_sweep_to_arith finds each n's spf-power part from table.spf
 and a dense index over 0..limit. The block sieve must give the same dtype
-and the same bytes, signed zeros included, for every function kind and at
-the block edges (2^18 values per block once blocks stop doubling).
+and the same bytes, signed zeros included, for every function kind, at the
+block edges (2^18 values per block once blocks stop doubling) and at the
+edges of the 2^16-value chunks that each block forms its products in.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +18,8 @@ from bvlab import build_prime_table
 from bvlab.counterexample import counterexample_multfn, plan_counterexample
 from bvlab.funcspec import parse_function_spec
 from bvlab.multfun import (
+    _BLOCK,
+    _CHUNK,
     MultFn,
     cm_from_arrays,
     companion_split,
@@ -23,13 +28,14 @@ from bvlab.multfun import (
     moebius,
     one,
     powerful,
+    prime_power_values,
     smooth_truncation,
     to_arith,
 )
 from oracles import spf_sweep_to_arith
 
 TOP = 10**6 + 7  # every function's limit
-LIMITS = [1, 2, 3, 4, 2**18 - 1, 2**18, 2**18 + 1, 2**19 + 3, TOP]
+LIMITS = [1, 2, 3, 4, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5, 2**18 - 1, 2**18, 2**18 + 1, 2**19 + 3, TOP]
 REAL_CM = {"kind": "cm", "primes": {"2": [-0.5, 0], "3": [0.0, -0.0], "5": [-0.0, 0.0],
                                     "7": [1, -0.0]}, "default": [-0.25, 0.0]}
 
@@ -110,3 +116,25 @@ def test_block_sieve_property(table, seed, limit, kind):
         part[rng.integers(0, len(pks), 8)] = 0.0
     f = MultFn(lambda p, k: vals[np.searchsorted(pks, p**k)], limit)
     _same_bytes(f, limit, table)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_to_arith_holds_its_output_a_block_index_and_a_few_chunks(table_1e6, kind):
+    lim = 10**6
+    z = _disc(np.random.default_rng(14), 97)
+    f = moebius(lim) if kind == "real" else cm_from_arrays(lambda p: z[p % 97], lim)
+    n_pp = len(prime_power_values(f, lim, table_1e6))  # f's one read, outside the trace
+    tracemalloc.start()
+    try:
+        out = to_arith(f, lim, table_1e6).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.dtype == (np.float64 if kind == "real" else np.complex128)
+    # the block index; per chunk value the ramp, n, p^e and the cofactor's
+    # index (8 B each) and the two gathers (the output's itemsize); p^k as
+    # float64 and a real f's values made contiguous (16 B a prime power); and
+    # a block's own prime-power indices (under 1 MB): 7.6 and 8.6 MB here.
+    # Temporaries over whole 2^18-value blocks read 9.1 and 21.6 MB
+    work = _BLOCK * 8 + _CHUNK * (4 * 8 + 2 * out.itemsize) + 16 * n_pp + 2**20
+    assert peak - out.nbytes <= work
