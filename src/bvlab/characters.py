@@ -33,24 +33,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .core_arith import _factor_small
 from .errors import ParameterError
-
-
-def _factor_small(q: int) -> list[tuple[int, int]]:
-    out = []
-    m = q
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            out.append((d, e))
-        d += 1
-    if m > 1:
-        out.append((m, 1))
-    return out
 
 
 def _least_primitive_root(p: int, e: int) -> int:

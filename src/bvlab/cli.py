@@ -261,8 +261,7 @@ def _report_obj(rep) -> dict:
 
 
 def _cmd_sieve_cache(args):
-    table = build_prime_table(args.limit)
-    save_prime_table(table, args.out)
+    table = save_prime_table(args.limit, args.out)
     return {"limit": table.limit}, table
 
 

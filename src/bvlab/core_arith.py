@@ -1,11 +1,11 @@
 """Exact integer arithmetic substrate.
 
 Everything downstream (characters, multiplicative functions, discrepancy
-sums) factors integers through a PrimeTable built here: a flat
-smallest-prime-factor array, chosen because factorization is the dominant
-operation at desk scale (limits up to ~1e8 are assumed to fit in memory). It
-is sieved in L2-sized segments, which also yield its primes; a sieve cache
-is read back one segment at a time, each checked against the same sieve.
+sums) reads primes and prime powers through a PrimeTable built here: the
+primes up to its limit, and no array over 0..limit. No kernel factors an n;
+the few scalar factorizations are trial division. A build, a sieve cache
+write and a cache read share one segment loop over a reused L2-sized
+smallest-prime-factor buffer, which yields the primes and checks the cache.
 """
 
 from __future__ import annotations
@@ -24,16 +24,14 @@ _CACHE_MAGIC = b"BVLAB1"
 
 @dataclass(frozen=True)
 class PrimeTable:
-    """Smallest-prime-factor table covering 2..limit.
+    """The primes up to limit, ascending int64.
 
-    spf[n] is the smallest prime factor of n (entries 0 and 1 are padding), and
-    primes the primes up to limit, ascending int64. Immutable after construction,
-    so it is safe to share across worker threads. It keeps the prime-power
-    enumeration that prime_powers last made and cuts smaller reads from it.
+    Immutable after construction, so it is safe to share across worker
+    threads. It keeps the prime-power enumeration that prime_powers last made
+    and cuts smaller reads from it.
     """
 
     limit: int
-    spf: np.ndarray
     primes: np.ndarray
 
     def prime_powers(self, limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -56,7 +54,8 @@ class PrimeTable:
 
     def is_prime(self, n: int) -> bool:
         self._check(n)
-        return n >= 2 and int(self.spf[n]) == n
+        i = int(np.searchsorted(self.primes, n))
+        return i < len(self.primes) and int(self.primes[i]) == n
 
     def primes_in(self, lo: float, hi: float) -> np.ndarray:
         """Primes p with lo < p <= hi."""
@@ -78,29 +77,33 @@ _SIEVE_SEGMENT = 1 << 18
 
 
 def build_prime_table(limit: int) -> PrimeTable:
-    """Sieve smallest prime factors for 2..limit, one _SIEVE_SEGMENT at a time."""
+    """The primes up to limit, from the segment sieve of _segments."""
+    return PrimeTable(limit, np.concatenate([found for _lo, _seg, found in _segments(limit)]))
+
+
+def _segments(limit: int):
+    """(lo, spf of lo.., its primes) for each _SIEVE_SEGMENT of 0..limit, sieved into one
+    reused buffer, valid until the next segment. The limit is checked up front."""
     primes = _sieving_primes(limit)
-    spf = np.empty(limit + 1, dtype=np.uint32)
-    found = []
-    for lo in range(0, limit + 1, _SIEVE_SEGMENT):
-        found.append(_sieve_segment(spf[lo : lo + _SIEVE_SEGMENT], lo, primes))
-    return PrimeTable(limit, spf, np.concatenate(found))
+    buf = np.empty(min(_SIEVE_SEGMENT, limit + 1), dtype=np.uint32)
+    return ((lo, *_sieve_segment(buf[: limit + 1 - lo], lo, primes))
+            for lo in range(0, limit + 1, _SIEVE_SEGMENT))
 
 
 def _sieving_primes(limit: int) -> list[int]:
     """The primes p <= sqrt(limit), largest first, from the table of sqrt(limit)."""
     if limit < 2:
         raise ParameterError(f"sieve limit must be >= 2, got {limit}")
-    if limit > 2**32 - 1:  # spf is uint32, and BVLAB1 stores <u4
+    if limit > 2**32 - 1:  # BVLAB1 stores each spf entry as <u4
         raise ParameterError(f"sieve limit must be <= 2^32 - 1, got {limit}")
     root = math.isqrt(limit)
     return build_prime_table(root).primes[::-1].tolist() if root >= 2 else []
 
 
-def _sieve_segment(seg: np.ndarray, lo: int, primes: list[int]) -> np.ndarray:
+def _sieve_segment(seg: np.ndarray, lo: int, primes: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """spf of lo..lo + len(seg) - 1 into seg: n at n, then each p of `primes` (largest
     first, so a composite's last mark is its smallest prime factor) from p*p on.
-    Returns the segment's primes: the n >= 2 it leaves at n."""
+    Returns seg and the segment's primes: the n >= 2 it leaves at n."""
     hi = lo + len(seg)
     idx = np.arange(lo, hi, dtype=np.uint32)
     seg[:] = idx
@@ -109,23 +112,31 @@ def _sieve_segment(seg: np.ndarray, lo: int, primes: list[int]) -> np.ndarray:
         if start < hi:
             seg[start - lo :: p] = p
     kept = np.flatnonzero(seg == idx) + lo
-    return kept[2:] if lo == 0 else kept
+    return seg, kept[2:] if lo == 0 else kept
+
+
+def _factor_small(n: int) -> list[tuple[int, int]]:
+    """[(p, e), ...] with n = prod p^e, p ascending, by trial division; [] for n = 1."""
+    out = []
+    m = n
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            e = 0
+            while m % d == 0:
+                m //= d
+                e += 1
+            out.append((d, e))
+        d += 1
+    if m > 1:
+        out.append((m, 1))
+    return out
 
 
 def factorize(n: int, table: PrimeTable) -> tuple[tuple[int, int], ...]:
-    """((p, e), ...) with n = prod p^e, p ascending, via the spf table; factorize(1) is ()."""
+    """((p, e), ...) with n = prod p^e, p ascending, for 1 <= n <= table.limit; factorize(1) is ()."""
     table._check(n)
-    spf = table.spf
-    factors: list[tuple[int, int]] = []
-    m = n
-    while m > 1:
-        p = int(spf[m])
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        factors.append((p, e))
-    return tuple(factors)
+    return tuple(_factor_small(n))
 
 
 def euler_phi(n: int, table: PrimeTable) -> int:
@@ -155,34 +166,43 @@ def prime_powers(primes: np.ndarray, limit: int) -> tuple[np.ndarray, np.ndarray
     return pk[order], p[order], k[order]
 
 
-def p_plus_array(limit: int, table: PrimeTable) -> np.ndarray:
-    """Vector of largest prime factors for 0..limit (entries 0,1 are 1).
-
-    Ascending sweep over primes: the last prime to mark an index is its
-    largest prime factor.
+def p_plus_minus_arrays(limit: int, table: PrimeTable) -> tuple[np.ndarray, np.ndarray]:
+    """(P_plus, P_minus) of 0..limit, int64 (entries 0, 1 are 1): the last prime to mark
+    an index is its largest prime factor in an ascending sweep, its smallest in a
+    descending one.
     """
     if limit > table.limit:
         raise OutOfRangeError(f"limit={limit} exceeds table limit {table.limit}")
-    out = np.ones(limit + 1, dtype=np.int64)
-    for p in table.primes[table.primes <= limit]:
-        out[p::p] = p
-    return out
+    ps = table.primes[table.primes <= limit]
+    plus, minus = np.ones(limit + 1, dtype=np.int64), np.ones(limit + 1, dtype=np.int64)
+    for p in ps:
+        plus[p::p] = p
+    for p in ps[::-1]:
+        minus[p::p] = p
+    return plus, minus
 
 
-def save_prime_table(table: PrimeTable, path) -> None:
-    """Write the sieve cache: magic, little-endian u64 limit, u32 spf[2..limit]."""
+def save_prime_table(limit: int, path) -> PrimeTable:
+    """Sieve 0..limit and write the sieve cache as it goes: magic, little-endian
+    u64 limit, u32 spf[2..limit], one segment at a time. Returns the table, the
+    same as build_prime_table(limit)."""
+    segments = _segments(limit)  # checks the limit before the file is made
+    found = []
     with open(path, "wb") as fh:
         fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack("<Q", table.limit))
-        fh.write(memoryview(np.asarray(table.spf[2:], dtype="<u4")))
+        fh.write(struct.pack("<Q", limit))
+        for lo, seg, primes in segments:
+            fh.write(memoryview(np.asarray(seg[max(2 - lo, 0) :], dtype="<u4")))
+            found.append(primes)
+    return PrimeTable(limit, np.concatenate(found))
 
 
 def load_prime_table(path) -> PrimeTable:
     """Load a sieve cache, validating magic bytes, header and payload length.
 
-    Each _SIEVE_SEGMENT of the payload is then read into the table, compared
+    Each _SIEVE_SEGMENT of the payload is then read into a buffer, compared
     with the segment sieved anew and its primes kept, up to the first wrong
-    spf[n], which is reported. Memory is the table plus one segment.
+    spf[n], which is reported. Memory is the primes plus two segments.
     """
     try:
         with open(path, "rb") as fh:
@@ -205,22 +225,19 @@ def load_prime_table(path) -> PrimeTable:
 
 
 def _read_verified(fh, path, limit: int) -> PrimeTable:
-    primes = _sieving_primes(limit)
-    spf = np.empty(limit + 1, dtype="<u4")  # BVLAB1's byte order: uint32 on little-endian hosts
-    spf[:2] = 0, 1
-    buf = np.empty(min(_SIEVE_SEGMENT, limit + 1), dtype=np.uint32)
+    buf = np.empty(min(_SIEVE_SEGMENT, limit + 1), dtype="<u4")  # BVLAB1's byte order
     found = []
-    for lo in range(0, limit + 1, _SIEVE_SEGMENT):
-        seg = spf[lo : lo + _SIEVE_SEGMENT]
-        want = buf[: len(seg)]
-        found.append(_sieve_segment(want, lo, primes))
+    for lo, want, primes in _segments(limit):
+        seg = buf[: len(want)]
         first = max(lo, 2)  # the payload starts at spf[2]
-        got = fh.readinto(memoryview(spf[first : lo + len(seg)]).cast("B"))
+        seg[: first - lo] = want[: first - lo]
+        got = fh.readinto(memoryview(seg[first - lo :]).cast("B"))
         if got != 4 * (lo + len(seg) - first):
             raise ParameterError(f"{path}: payload ends early, at spf[{first + got // 4}]")
         if not np.array_equal(seg, want):
             n = lo + int(np.flatnonzero(seg != want)[0])
             raise ParameterError(
-                f"{path}: spf[{n}] = {int(spf[n])} is not its smallest prime factor"
+                f"{path}: spf[{n}] = {int(seg[n - lo])} is not its smallest prime factor"
             )
-    return PrimeTable(limit, spf, np.concatenate(found))
+        found.append(primes)
+    return PrimeTable(limit, np.concatenate(found))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_arith import PrimeTable, euler_phi, factorize
+from .core_arith import PrimeTable, euler_phi
 from .discrepancy import plain_delta
 from .errors import InvariantViolationError, OutOfRangeError, ParameterError
 from .multfun import MultFn, to_arith
@@ -47,17 +47,15 @@ def default_Q(x: int) -> int:
 def primes_with_divisor_in(
     y_lo: float, y_hi: float, q_lo: float, q_hi: float, table: PrimeTable
 ) -> frozenset[int]:
-    """Primes p in (y_lo, y_hi] such that p-1 has a prime factor in (q_lo, q_hi]."""
+    """Primes p in (y_lo, y_hi] such that p-1 has a prime factor in (q_lo, q_hi]: each
+    such prime r marks the p with r | p - 1 (none when r >= y_hi, so those are skipped)."""
     if y_hi > table.limit:
         raise OutOfRangeError(f"y={y_hi} exceeds table limit {table.limit}")
-    out = []
-    for p in table.primes_in(y_lo, y_hi):
-        p = int(p)
-        for r, _e in factorize(p - 1, table):
-            if q_lo < r <= q_hi:
-                out.append(p)
-                break
-    return frozenset(out)
+    ps = table.primes_in(y_lo, y_hi)
+    hit = np.zeros(len(ps), dtype=bool)
+    for r in table.primes_in(q_lo, min(q_hi, y_hi)).tolist():
+        hit |= (ps - 1) % r == 0
+    return frozenset(ps[hit].tolist())
 
 
 def plan_counterexample(

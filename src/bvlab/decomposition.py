@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characters import CharacterSet, DirichletCharacter, primitive_value_matrix
-from .core_arith import PrimeTable, factorize, p_plus_array
+from .core_arith import PrimeTable, factorize, p_plus_minus_arrays
 from .discrepancy import _coprime_residues, chunked_map, delta_xi
 from .errors import DomainError, OutOfRangeError, ParameterError
 from .multfun import MultFn, dirichlet_convolve, to_arith, truncated_convolution
@@ -86,8 +86,6 @@ def split_sum_assemble(
     fd = to_arith(f, mX, table).values
     r = psi.modulus
     cbar = np.conj(psi.residue_values())
-    spf = table.spf
-    pplus = p_plus_array(min(mX, int(X / max(V0, 1)) + 1), table)
 
     total = 0j
     for n in range(1, int(math.floor(min(V0, mX))) + 1):
@@ -95,11 +93,13 @@ def split_sum_assemble(
 
     v_lo = int(math.floor(V0)) + 1
     v_hi = int(math.floor(min(y * V0, mX)))
+    # u <= X / v < X / V0 and v <= v_hi: both reach about sqrt(X * y)
+    pplus, pminus = p_plus_minus_arrays(max(min(mX, int(X / max(V0, 1)) + 1), v_hi), table)
 
     def chunk_sum(vs: range) -> complex:
         acc = 0j
         for v in vs:
-            pm = int(spf[v])
+            pm = int(pminus[v])
             if v / pm > V0:
                 continue
             umax = int(X // v)

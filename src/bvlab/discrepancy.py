@@ -74,10 +74,10 @@ import numpy as np
 from .characters import (
     CharacterSet,
     DirichletCharacter,
-    _factor_small,
     _unit_mask,
     induced_values,
 )
+from .core_arith import _factor_small
 from .errors import InvariantViolationError, OutOfRangeError, ParameterError
 from .multfun import ArithFn
 

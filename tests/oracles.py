@@ -6,6 +6,7 @@ it is used to check.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from bvlab.characters import (
     primitive_value_matrix,
     unit_group,
 )
-from bvlab.core_arith import PrimeTable, factorize
+from bvlab.core_arith import PrimeTable
 from bvlab.counterexample import CounterexampleSpec, _script_P_array
 from bvlab.errors import OutOfRangeError, ParameterError
 from bvlab.multfun import (
@@ -77,16 +78,38 @@ def brute_delta(values, x, q, a):
     return prog - cop / phi_naive(q)
 
 
+@lru_cache(maxsize=8)
 def plain_spf(limit):
     """Smallest prime factors of 0..limit, one pass over the table per prime, as bvlab sieved before segments.
 
     spf starts as n at n; p is written at p*p, p*p + p, ... for the primes
-    p <= sqrt(limit) (found by trial division), largest first.
+    p <= sqrt(limit) (found by trial division), largest first. Kept per
+    limit, so the array is read-only.
     """
     spf = np.arange(limit + 1, dtype=np.uint32)
     for p in reversed([p for p in range(2, math.isqrt(limit) + 1) if is_prime_naive(p)]):
         spf[p * p :: p] = p
+    spf.setflags(write=False)
     return spf
+
+
+def spf_factors(n, table):
+    """[(p, e), ...] of n, p ascending, read off plain_spf over the table's limit."""
+    if n < 1:
+        raise ParameterError(f"n must be positive, got {n}")
+    if n > table.limit:
+        raise OutOfRangeError(f"n={n} exceeds table limit {table.limit}")
+    spf = plain_spf(table.limit)
+    out = []
+    m = n
+    while m > 1:
+        p = int(spf[m])
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        out.append((p, e))
+    return out
 
 
 def copied_residue_buckets(values, m, q):
@@ -125,10 +148,11 @@ def induced_bv_rows(f, x, Q, xi):
 def complex_to_arith(f, limit, table):
     """f(0..limit) as complex128, swept as bvlab computed it before real functions were float64.
 
-    f(n) = f(n / p^e) * f(p^e) with p^e the spf-power part of n, in blocks
-    [lo, min(2 lo, lo + 2^18)), each product formed as Python's complex *
-    forms it.
+    f(n) = f(n / p^e) * f(p^e) with p^e the spf-power part of n (from
+    plain_spf), in blocks [lo, min(2 lo, lo + 2^18)), each product formed as
+    Python's complex * forms it.
     """
+    spf = plain_spf(table.limit)
     pks, ps, _ks = table.prime_powers(limit)
     pv = prime_power_values(f, limit, table)
     pos = np.zeros(limit + 1, dtype=np.int32)
@@ -142,7 +166,7 @@ def complex_to_arith(f, limit, table):
     while lo <= limit:
         hi = min(2 * lo, lo + (1 << 18), limit + 1)
         n = np.arange(lo, hi)
-        p = table.spf[lo:hi].astype(np.int64)
+        p = spf[lo:hi].astype(np.int64)
         m = n // p
         i = pos[p]
         same = m % p == 0
@@ -158,7 +182,7 @@ def complex_to_arith(f, limit, table):
 def spf_sweep_to_arith(f, limit, table):
     """to_arith as bvlab computed it before each block sieved its own prime powers.
 
-    The index of each n's spf-power part comes from table.spf and a dense
+    The index of each n's spf-power part comes from plain_spf and a dense
     int32 array pos over 0..limit, with int64 divisions and a mask scatter
     per block; the values are to_arith's, to compare byte for byte.
     """
@@ -176,7 +200,7 @@ def spf_sweep_to_arith(f, limit, table):
     re, im = vals.real, None if real else vals.imag
     if limit >= 1:
         re[1] = 1.0
-    spf = table.spf
+    spf = plain_spf(table.limit)
     lo = 2
     while lo <= limit:
         hi = min(2 * lo, lo + _BLOCK, limit + 1)
@@ -396,7 +420,7 @@ PRIME_INF = 2**62
 
 def von_mangoldt(n: int, table: PrimeTable) -> float:
     """log p if n = p^k, else 0."""
-    fs = factorize(n, table)
+    fs = spf_factors(n, table)
     if len(fs) == 1:
         return math.log(fs[0][0])
     return 0.0
@@ -408,7 +432,7 @@ def smoothness(n: int, table: PrimeTable) -> tuple[int, int]:
     n = 1 returns (1, PRIME_INF) by convention, so "n is y-smooth" is
     exactly P_plus <= y for every n >= 1.
     """
-    fs = factorize(n, table)
+    fs = spf_factors(n, table)
     if not fs:
         return (1, PRIME_INF)
     return (fs[-1][0], fs[0][0])
@@ -457,17 +481,8 @@ def evaluate(f: MultFn, n: int, table: PrimeTable) -> complex:
         raise ParameterError(f"n must be positive, got {n}")
     if n > f.limit:
         raise OutOfRangeError(f"n={n} exceeds function limit {f.limit}")
-    if n > table.limit:
-        raise OutOfRangeError(f"n={n} exceeds table limit {table.limit}")
-    spf = table.spf
     out = 1 + 0j
-    m = n
-    while m > 1:
-        p = int(spf[m])
-        k = 0
-        while m % p == 0:
-            m //= p
-            k += 1
+    for p, k in spf_factors(n, table):
         out *= f.pp_value(p, k, table)
     return out
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bvlab.cli import main
-from bvlab.core_arith import PrimeTable, build_prime_table, save_prime_table
+from bvlab.core_arith import save_prime_table
 
 
 def run(capsys, *argv):
@@ -359,10 +359,10 @@ def test_bad_inputs_exit_without_traceback(tmp_path, capsys, monkeypatch, argv, 
     np.savez("v2d.npz", prime_powers=np.array([2, 3]), values=np.array([[0.5], [0.5]]))
     np.savez("flt.npz", prime_powers=np.array([2.0, 3.0]), values=np.array([0.5, 0.5]))
     np.savez("dup.npz", prime_powers=np.array([2, 2, 3]), values=np.array([1, -1, 0.5]))
-    built = build_prime_table(100)
-    spf = built.spf.copy()
-    spf[15] = 15
-    save_prime_table(PrimeTable(limit=100, spf=spf, primes=built.primes), "spf15.bin")
+    save_prime_table(100, "spf15.bin")
+    blob = bytearray((tmp_path / "spf15.bin").read_bytes())
+    blob[14 + 4 * (15 - 2) : 14 + 4 * (15 - 1)] = (15).to_bytes(4, "little")
+    (tmp_path / "spf15.bin").write_bytes(bytes(blob))
     (tmp_path / "nan_cm.json").write_text(
         json.dumps({"f": {"kind": "cm", "default": [float("nan"), 0]}})
     )

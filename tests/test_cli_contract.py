@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bvlab.cli import _COMMANDS, _INTS, main
-from bvlab.core_arith import build_prime_table, save_prime_table
+from bvlab.core_arith import save_prime_table
 
 CAP = {"trials": 3, **dict.fromkeys(["Q", "N-max", "Q-max", "U", "V", "R"], 64)}  # else 10^4
 
@@ -87,7 +87,7 @@ def pool(key):
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     d = tmp_path_factory.mktemp("contract")
-    save_prime_table(build_prime_table(10**4), str(d / "sieve.bin"))
+    save_prime_table(10**4, str(d / "sieve.bin"))
     np.savez(d / "t.npz", prime_powers=np.array([2, 4, 3, 9, 5]),
              values=np.array([0.5, -0.25, -1, 0.5j, 0.0]))
     with pytest.MonkeyPatch.context() as mp:

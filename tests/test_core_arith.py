@@ -17,6 +17,7 @@ from bvlab import (
     save_prime_table,
 )
 from bvlab.cli import main
+from bvlab.core_arith import p_plus_minus_arrays
 from oracles import (
     PRIME_INF,
     is_prime_naive,
@@ -28,20 +29,40 @@ from oracles import (
 )
 
 
-def test_spf_examples_small():
-    t = build_prime_table(10)
-    assert list(t.spf[2:11]) == [2, 3, 2, 5, 2, 7, 2, 3, 2]
+def _cache_spf(tmp_path, limit):
+    """save_prime_table(limit)'s table, and the spf entries its cache holds,
+    read back as uint32 over 0..limit (entries 0 and 1 are not stored: 0, 1)."""
+    path = tmp_path / "spf.bin"
+    table = save_prime_table(limit, path)
+    payload = np.frombuffer(path.read_bytes(), dtype="<u4", offset=14)
+    assert len(payload) == limit - 1
+    return table, np.concatenate([np.array([0, 1], dtype=np.uint32), payload])
 
 
-def test_spf_smallest_case():
-    t = build_prime_table(2)
-    assert t.spf[2] == 2
+def _plain_primes(limit):
+    spf = plain_spf(limit)
+    return np.flatnonzero(spf == np.arange(limit + 1))[2:]
 
 
-def test_spf_limit_30():
-    t = build_prime_table(30)
-    assert t.spf[30] == 2
-    assert t.spf[29] == 29
+def test_spf_examples_small(tmp_path):
+    t, spf = _cache_spf(tmp_path, 10)
+    assert list(spf[2:11]) == [2, 3, 2, 5, 2, 7, 2, 3, 2]
+    assert np.array_equal(spf, plain_spf(10))
+    assert list(t.primes) == [2, 3, 5, 7]
+
+
+def test_spf_smallest_case(tmp_path):
+    t, spf = _cache_spf(tmp_path, 2)
+    assert spf[2] == 2
+    assert list(t.primes) == [2]
+
+
+def test_spf_limit_30(tmp_path):
+    t, spf = _cache_spf(tmp_path, 30)
+    assert spf[30] == 2
+    assert spf[29] == 29
+    assert np.array_equal(spf, plain_spf(30))
+    assert np.array_equal(t.primes, _plain_primes(30))
 
 
 def test_build_rejects_tiny_limit():
@@ -99,13 +120,27 @@ def test_spf_agrees_with_trial_division():
         assert list(factorize(n, t)) == trial_division(n)
 
 
-def test_spf_entries_are_prime_divisors(table_1e4):
-    spf = table_1e4.spf
+def test_spf_entries_are_prime_divisors(tmp_path, table_1e4):
+    t, spf = _cache_spf(tmp_path, 10**4)
+    assert np.array_equal(t.primes, table_1e4.primes)
     for n in range(2, 10**4 + 1):
         p = int(spf[n])
         assert n % p == 0
         assert is_prime_naive(p)
         assert (p == n) == is_prime_naive(n)
+    for n in range(1, 10**4 + 1):  # the table's limit included
+        assert table_1e4.is_prime(n) == is_prime_naive(n), n
+
+
+def test_p_plus_minus_arrays_match_trial_division(table_1e4):
+    plus, minus = p_plus_minus_arrays(10**4, table_1e4)
+    assert plus[:2].tolist() == minus[:2].tolist() == [1, 1]
+    for n in range(2, 10**4 + 1):
+        fs = trial_division(n)
+        assert (plus[n], minus[n]) == (fs[-1][0], fs[0][0]), n
+    assert len(p_plus_minus_arrays(97, table_1e4)[1]) == 98
+    with pytest.raises(OutOfRangeError):
+        p_plus_minus_arrays(10**4 + 1, table_1e4)
 
 
 def test_phi_is_multiplicative(table_1e4):
@@ -141,10 +176,13 @@ def test_primes_listing(table_1e4):
 
 def test_cache_round_trip(tmp_path, table_1e4):
     path = tmp_path / "sieve.bin"
-    save_prime_table(table_1e4, path)
+    saved = save_prime_table(10**4, path)
     loaded = load_prime_table(path)
-    assert loaded.limit == table_1e4.limit
-    assert np.array_equal(loaded.spf, table_1e4.spf)
+    assert saved.limit == loaded.limit == table_1e4.limit
+    assert np.array_equal(saved.primes, table_1e4.primes)
+    assert np.array_equal(loaded.primes, table_1e4.primes)
+    payload = np.frombuffer(path.read_bytes(), dtype="<u4", offset=14)
+    assert np.array_equal(payload, plain_spf(10**4)[2:])
 
 
 def test_cache_validates_magic(tmp_path):
@@ -154,9 +192,9 @@ def test_cache_validates_magic(tmp_path):
         load_prime_table(path)
 
 
-def test_cache_validates_length(tmp_path, table_1e4):
+def test_cache_validates_length(tmp_path):
     path = tmp_path / "trunc.bin"
-    save_prime_table(table_1e4, path)
+    save_prime_table(10**4, path)
     blob = path.read_bytes()
     path.write_bytes(blob[:-4])
     with pytest.raises(ParameterError):
@@ -164,9 +202,9 @@ def test_cache_validates_length(tmp_path, table_1e4):
 
 
 @pytest.mark.parametrize("wrong", [7, 3])  # not a factor; a factor but not the smallest
-def test_cache_validates_spf(tmp_path, table_1e4, wrong):
+def test_cache_validates_spf(tmp_path, wrong):
     path = tmp_path / "corrupt.bin"
-    save_prime_table(table_1e4, path)
+    save_prime_table(10**4, path)
     blob = bytearray(path.read_bytes())
     blob[14 + 4 * (12 - 2) : 14 + 4 * (12 - 1)] = wrong.to_bytes(4, "little")
     path.write_bytes(bytes(blob))
@@ -174,18 +212,21 @@ def test_cache_validates_spf(tmp_path, table_1e4, wrong):
         load_prime_table(path)
 
 
-# build_prime_table sieves 2^18 entries at a time
+# build_prime_table and save_prime_table sieve 2^18 entries at a time
 @pytest.mark.parametrize("limit", [2**18 - 1, 2**18, 2**18 + 1, 3 * 2**18 + 5, 10**6 + 7])
-def test_spf_across_segment_boundaries(limit):
-    spf = build_prime_table(limit).spf
+def test_spf_across_segment_boundaries(tmp_path, limit):
+    saved, spf = _cache_spf(tmp_path, limit)
     assert spf.dtype == np.uint32
     assert np.array_equal(spf, plain_spf(limit))
+    primes = _plain_primes(limit)
+    assert np.array_equal(saved.primes, primes)
+    assert np.array_equal(build_prime_table(limit).primes, primes)
 
 
 def test_cache_names_a_wrong_spf_in_the_second_segment(tmp_path, capsys):
     limit, n = 3 * 2**18 + 5, 2**18 + 2  # n = 2 * 3 * 43691
     path = tmp_path / "corrupt.bin"
-    save_prime_table(build_prime_table(limit), path)
+    save_prime_table(limit, path)
     blob = bytearray(path.read_bytes())
     blob[14 + 4 * (n - 2) : 14 + 4 * (n - 1)] = (3).to_bytes(4, "little")
     path.write_bytes(bytes(blob))
@@ -198,9 +239,9 @@ def test_cache_names_a_wrong_spf_in_the_second_segment(tmp_path, capsys):
 
 
 def _saved(tmp_path, limit, wrong=()):
-    """Path of the cache of build_prime_table(limit), with spf[n] = v written for each (n, v) of wrong."""
+    """Path of the cache of save_prime_table(limit), with spf[n] = v written for each (n, v) of wrong."""
     path = tmp_path / "sieve.bin"
-    save_prime_table(build_prime_table(limit), path)
+    save_prime_table(limit, path)
     blob = bytearray(path.read_bytes())
     for n, v in wrong:
         blob[14 + 4 * (n - 2) : 14 + 4 * (n - 1)] = v.to_bytes(4, "little")
@@ -208,15 +249,18 @@ def _saved(tmp_path, limit, wrong=()):
     return path
 
 
-# the build sieves, and the loader reads and checks the payload, 2^18 entries
-# at a time; both keep the primes each segment leaves
+# the build sieves, the save sieves and writes, and the loader reads and
+# checks the payload, 2^18 entries at a time; each keeps the primes each
+# segment leaves
 @pytest.mark.parametrize("limit", [2, 3, 2**18 - 1, 2**18, 2**18 + 1, 3 * 2**18 + 5])
 def test_streamed_load_matches_plain_sieve(tmp_path, limit):
     want = plain_spf(limit)
-    primes = np.flatnonzero(want == np.arange(limit + 1))[2:]
-    for table in build_prime_table(limit), load_prime_table(_saved(tmp_path, limit)):
+    primes = _plain_primes(limit)
+    saved, spf = _cache_spf(tmp_path, limit)
+    assert np.array_equal(spf, want)
+    loaded = load_prime_table(tmp_path / "spf.bin")
+    for table in build_prime_table(limit), saved, loaded:
         assert table.limit == limit
-        assert np.array_equal(table.spf, want) and table.spf.dtype == np.uint32
         assert table.primes.dtype == primes.dtype == np.int64
         assert np.array_equal(table.primes, primes)
 
@@ -261,9 +305,9 @@ def test_streamed_load_holds_the_table_and_one_segment(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the table, its primes while they are joined, and a few 1 MB segment
-    # buffers; a blob of the payload or a second table would add 8 MB
-    assert peak < t.spf.nbytes + 2 * t.primes.nbytes + 3 * 4 * 2**18
+    # the primes while they are joined, and a few 1 MB segment buffers; a
+    # blob of the payload or an array over 0..limit would add 8 MB
+    assert peak < 2 * t.primes.nbytes + 3 * 4 * 2**18
 
 
 def test_build_holds_the_table_and_one_segment():
@@ -274,5 +318,19 @@ def test_build_holds_the_table_and_one_segment():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # as the loader: no arange or mask over the whole table to find the primes
-    assert peak < t.spf.nbytes + 2 * t.primes.nbytes + 3 * 4 * 2**18
+    # as the loader: no spf array, arange or mask over the whole table
+    assert peak < 2 * t.primes.nbytes + 3 * 4 * 2**18
+
+
+def test_save_holds_the_table_and_one_segment(tmp_path):
+    path = tmp_path / "sieve.bin"
+    tracemalloc.start()
+    try:
+        t = save_prime_table(2 * 10**6, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # as the build: each segment is written as it is sieved, with no spf
+    # array or payload blob over 0..limit
+    assert peak < 2 * t.primes.nbytes + 3 * 4 * 2**18
+    assert path.stat().st_size == 14 + 4 * (2 * 10**6 - 1)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from bvlab.counterexample import (
 )
 from bvlab.discrepancy import delta
 from bvlab.multfun import class_c_check, to_arith
-from oracles import evaluate, script_P_indicator, smoothness
+from oracles import evaluate, is_prime_naive, script_P_indicator, smoothness, trial_division
 
 
 def spec_for(x, gamma, table, Q=None):
@@ -33,6 +34,27 @@ def test_script_P_interval_examples(table_1e4):
     assert primes_with_divisor_in(50, 100, 24, 28, table_1e4) == frozenset()
     # (5, 10] supplies only 7
     assert primes_with_divisor_in(50, 100, 5, 10, table_1e4) == {71}
+
+
+@lru_cache(maxsize=None)
+def _primes_by_trial_division(y_lo, y_hi):
+    # every prime p in (y_lo, y_hi], with the primes dividing p - 1, both by trial division
+    return [(p, [r for r, _e in trial_division(p - 1)])
+            for p in range(max(math.floor(y_lo) + 1, 2), math.floor(y_hi) + 1) if is_prime_naive(p)]
+
+
+@pytest.mark.parametrize("y_lo, y_hi", [(0, 100), (50, 100), (1e3 / 2, 1e3), (2500.5, 5001.7),
+                                        (90, 96), (0, 1), (4e4, 10**5), (99990.5, 10**5)])
+@pytest.mark.parametrize("q_lo, q_hi", [(0, 1), (1, 2), (1, 2.5), (2, 3), (3, 6), (24, 28),
+                                        (12.5, 25), (60, 120), (15.9, 500.2), (1e3, 2e3),
+                                        (3e4, 10**5), (1e5, 2e5)])
+def test_script_P_matches_trial_division(table_1e5, y_lo, y_hi, q_lo, q_hi):
+    # (24, 28], (90, 96] and (0, 1] hold no prime; (1e5, 2e5] lies above the
+    # table; (1, 2.5] gives r = 2, which divides every p - 1 but 2 - 1
+    got = primes_with_divisor_in(y_lo, y_hi, q_lo, q_hi, table_1e5)
+    want = {p for p, rs in _primes_by_trial_division(y_lo, y_hi) if any(q_lo < r <= q_hi for r in rs)}
+    assert got == want
+    assert all(type(p) is int for p in got)
 
 
 def test_plan_shapes(table_1e5):

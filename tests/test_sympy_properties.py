@@ -2,8 +2,8 @@
 
 import sympy
 
-from bvlab.characters import UnitGroup, _factor_small
-from bvlab.core_arith import euler_phi, factorize
+from bvlab.characters import UnitGroup
+from bvlab.core_arith import _factor_small, euler_phi, factorize
 from bvlab.discrepancy import _moebius_phi
 from bvlab.multfun import liouville, to_arith
 
